@@ -1,28 +1,26 @@
-"""X13 — shared-memory delta transport + adaptive dispatch sizing.
+"""X13 — row-frame delta encoding + adaptive dispatch sizing.
 
-X10 amortized the process shard mode's round trips; the residual per-block
-transport cost is **delta encoding** — pickling the Event-Base window
-snapshot once per trip, per distinct worker offset.  PR 9 replaces that
-path with a shared-memory row ring: payload-free occurrences are encoded
-once, globally, as fixed-width rows, and workers read trip deltas by
-``(start, count)`` descriptor (payload-bearing rows fall back to per-row
-pickles inside the same descriptor).  PR 9 also closes the loop on the
-trip size itself: the ``DispatchController`` sizes each stream drain from
-the live queue-depth / dispatch-latency signals.  This bench shows:
+X10 amortized the process shard mode's round trips; what remains per block
+on the transport side is **delta encoding**.  Every delta is a row frame:
+payload-free occurrences are encoded once, globally, as fixed-width rows,
+and each worker's delta is a slice of that log (payload-bearing rows ride
+along as out-of-band snapshot tuples).  The ``DispatchController`` closes
+the loop on the trip size itself, sizing each stream drain from the live
+queue-depth / dispatch-latency signals.  This bench shows:
 
-* **delta encoding gets cheaper** — per-block delta-encode cost, pickle vs
-  shm, on the X10 check-heavy grid (the payload-free headline must clear
-  2x; a payload-bearing arm exercises the fallback);
+* **what delta encoding costs** — per-block delta-encode cost and inline /
+  fallback row counts on the X10 check-heavy grid, with a payload-bearing
+  arm driving every row through the fallback;
 * **the controller adapts** — a bursty stream through static-1 / static-8 /
   adaptive ingestor arms: per-block trips while idle (latency within 10% of
   static-1), widened trips under backlog (throughput within 10% of
   static-8), and a shrink back to 1 when the burst drains (structural,
   asserted);
-* **behavioral invisibility** — every transport grid point asserts
+* **behavioral invisibility** — every encoding grid point asserts
   identical triggering decisions, selections and stats across the single
-  table, the serial coordinator and both process transports; every
-  adaptivity arm is pinned against an unsharded replay of its realized
-  trip partition.
+  table, the serial coordinator and the process workers; every adaptivity
+  arm is pinned against an unsharded replay of its realized trip
+  partition.
 
 Run as a script to execute the full sweep and write machine-readable
 results to ``BENCH_PR9.json`` at the repo root::
@@ -68,8 +66,8 @@ def main(argv: list[str] | None = None) -> None:
         print(f"\nwrote {out}")
     headline = results["headline"]
     print(
-        f"headline: delta encode speedup {headline['delta_encode_speedup']}x "
-        f"(shm vs pickle, payload-free); adaptive idle latency ratio "
+        f"headline: delta encode {headline['delta_encode_us_per_block']} µs/block "
+        f"(payload-free); adaptive idle latency ratio "
         f"{headline['idle_latency_ratio']} vs static-1, backlog throughput "
         f"ratio {headline['backlog_throughput_ratio']} vs static-8 "
         f"(widened {headline['adaptive_widened']}x, settled back to bound "
@@ -82,20 +80,16 @@ def main(argv: list[str] | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_x13_transports_identical_payload_free():
+def test_x13_payload_free_rows_ride_inline():
     # measure_transport_encoding asserts triggering + selection + stats
-    # equivalence itself across the single table, serial, and both process
-    # transports.
+    # equivalence itself across the single table, serial, and the process
+    # workers.
     result = measure_transport_encoding(
         400, workers=2, blocks=12, warmup_blocks=2, events_per_block=8, shapes=8
     )
-    shm = result["transports"]["shm"]
-    # Payload-free rows must ride the ring: no per-delta pickles, no
-    # per-row fallbacks.
-    assert shm["deltas_shm"] > 0 and shm["deltas_pickled"] == 0, shm
-    assert shm["shm_rows_inline"] > 0 and shm["shm_rows_fallback"] == 0, shm
-    pickled = result["transports"]["pickle"]
-    assert pickled["deltas_shm"] == 0 and pickled["deltas_pickled"] > 0, pickled
+    # Payload-free rows must encode inline: no per-row fallbacks.
+    assert result["deltas"] > 0, result
+    assert result["rows_inline"] > 0 and result["rows_fallback"] == 0, result
 
 
 def test_x13_payload_rows_fall_back_and_stay_identical():
@@ -108,11 +102,10 @@ def test_x13_payload_rows_fall_back_and_stay_identical():
         shapes=8,
         payloads=True,
     )
-    shm = result["transports"]["shm"]
     # Every row carries a payload, so every row must cross via the per-row
-    # pickled fallback — while the equivalence asserts above still hold.
-    assert shm["shm_rows_fallback"] > 0 and shm["shm_rows_inline"] == 0, shm
-    assert shm["deltas_shm"] > 0, shm
+    # out-of-band fallback — while the equivalence asserts above still hold.
+    assert result["rows_fallback"] > 0 and result["rows_inline"] == 0, result
+    assert result["deltas"] > 0, result
 
 
 def test_x13_adaptive_controller_widens_and_shrinks():

@@ -1,30 +1,29 @@
 """X14 — socket shard transport behind the ShardTransport seam.
 
-PR 10 extracts the delta-shipping plumbing of the process shard pool into a
-``ShardTransport`` interface (pickle frames / shm-ring descriptors /
-length-prefixed socket frames) and adds the TCP implementation: an asyncio
-coordinator endpoint with localhost workers spawned by the pool, or remote
-workers started via ``chimera-events worker``.  This bench shows:
+The process shard pool reaches its workers through a ``ShardTransport``:
+forked local workers on pipes (``pipe``, the default) or socket workers
+(``tcp``) — localhost workers spawned by the pool, or remote workers
+started via ``chimera-events worker``.  Both carry the same row-frame
+deltas.  This bench shows:
 
-* **the socket path is priced** — per-block delta-encode cost of frame rows
-  vs ring rows vs snapshot pickling on the X13 check-heavy grid (frame
-  encoding pays a per-delta byte copy the ring avoids, but stays within a
-  small factor of pickle on the localhost path);
+* **the socket path is priced** — end-to-end check time per block over tcp
+  against pipe on the X13 check-heavy grid (min of passes).  A Nagle stall
+  on the coordinator's sockets shows up here as a several-fold ratio;
 * **the trip protocol survives the seam** — structural facts exact per
   transport: every rule definition shipped exactly once per
   ``definition_order`` version, exactly one coordinator message per
-  consulted worker per trip, each transport's deltas riding only its own
-  encoding, zero reconnects in an undisturbed run;
+  consulted worker per trip, every delta a row frame, zero reconnects in an
+  undisturbed run;
 * **reconnects are absorbed, not absorbed-into-wrongness** — a tcp worker
   bounced mid-run re-syncs defs + a fresh mirror and the run's triggering
   counters and consideration sequences stay byte-identical to an
   uninterrupted run;
 * **behavioral invisibility** — every grid point asserts identical
   triggering decisions, selections and stats across the single table, the
-  serial coordinator and all three process transports.
+  serial coordinator and both process transports.
 
 Run as a script to execute the full sweep and write machine-readable
-results to ``BENCH_PR10.json`` at the repo root::
+results to ``BENCH_PR12.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_x14_socket_transport.py [--smoke]
 
@@ -47,7 +46,7 @@ from repro.workloads.socket_transport import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS_FILE = REPO_ROOT / "BENCH_PR10.json"
+RESULTS_FILE = REPO_ROOT / "BENCH_PR12.json"
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -56,7 +55,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--out",
         default=None,
-        help="results file (default: BENCH_PR10.json; smoke writes nowhere)",
+        help="results file (default: BENCH_PR12.json; smoke writes nowhere)",
     )
     args = parser.parse_args(argv)
     results = run_x14_sweeps(smoke=args.smoke)
@@ -67,8 +66,8 @@ def main(argv: list[str] | None = None) -> None:
         print(f"\nwrote {out}")
     headline = results["headline"]
     print(
-        f"headline: frame encoding vs pickle {headline['frame_encode_vs_pickle']}x, "
-        f"vs shm ring {headline['frame_encode_vs_shm']}x; defs shipped once "
+        f"headline: tcp vs pipe check time {headline['tcp_vs_pipe_check_ratio']}x; "
+        f"defs shipped once "
         f"per version on every transport: {headline['defs_shipped_once']}; "
         f"reconnect re-shipped {headline['reconnect_resync_defs']} defs with "
         f"byte-identical outcomes"
@@ -82,8 +81,8 @@ def main(argv: list[str] | None = None) -> None:
 
 def test_x14_structural_trip_facts_per_transport():
     # measure_socket_transport asserts triggering + selection + stats
-    # equivalence itself across the single table, serial, and all three
-    # process transports.
+    # equivalence itself across the single table, serial, and both process
+    # transports.
     result = measure_socket_transport(
         300, workers=2, blocks=12, warmup_blocks=2, events_per_block=8, shapes=8, reps=2
     )
@@ -94,15 +93,9 @@ def test_x14_structural_trip_facts_per_transport():
         # One coordinator message per consulted worker per trip.
         assert row["worker_round_trips"] == row["parallel_batches"], (transport, row)
         assert row["reconnects"] == 0, (transport, row)
-    pickled = result["transports"]["pickle"]
-    assert pickled["deltas_pickled"] > 0, pickled
-    assert pickled["deltas_shm"] == pickled["deltas_framed"] == 0, pickled
-    shm = result["transports"]["shm"]
-    assert shm["deltas_shm"] > 0 and shm["deltas_framed"] == 0, shm
-    tcp = result["transports"]["tcp"]
-    assert tcp["deltas_framed"] > 0, tcp
-    assert tcp["deltas_pickled"] == tcp["deltas_shm"] == 0, tcp
-    assert tcp["frame_rows_inline"] > 0 and tcp["frame_rows_fallback"] == 0, tcp
+        # Every delta is a row frame; payload-free rows all encode inline.
+        assert row["deltas"] > 0, (transport, row)
+        assert row["rows_inline"] > 0 and row["rows_fallback"] == 0, (transport, row)
 
 
 def test_x14_reconnect_resyncs_and_outcomes_hold():

@@ -239,41 +239,26 @@ def check_x12(
 def check_x13(
     results: dict, limits: dict, tolerance: float, failures: list[str]
 ) -> None:
-    minimum = _relax(limits["min_delta_encode_speedup"], tolerance)
     for grid_point in results["transport"]:
-        shm = grid_point["transports"]["shm"]
-        pickled = grid_point["transports"]["pickle"]
         flavor = "payload-bearing" if grid_point["payloads"] else "payload-free"
         _check(
-            shm["deltas_shm"] > 0 and shm["deltas_pickled"] == 0,
-            f"{flavor}: shm arm shipped every delta through the ring "
-            f"({shm['deltas_shm']} shm / {shm['deltas_pickled']} pickled)",
-            failures,
-        )
-        _check(
-            pickled["deltas_shm"] == 0 and pickled["deltas_pickled"] > 0,
-            f"{flavor}: pickle arm never touched the ring "
-            f"({pickled['deltas_pickled']} pickled)",
+            grid_point["deltas"] > 0,
+            f"{flavor}: workers received row-frame deltas "
+            f"({grid_point['deltas']} deltas)",
             failures,
         )
         if grid_point["payloads"]:
             _check(
-                shm["shm_rows_fallback"] > 0 and shm["shm_rows_inline"] == 0,
+                grid_point["rows_fallback"] > 0 and grid_point["rows_inline"] == 0,
                 f"{flavor}: every row crossed via the per-row fallback "
-                f"({shm['shm_rows_fallback']} fallback rows)",
+                f"({grid_point['rows_fallback']} fallback rows)",
                 failures,
             )
         else:
             _check(
-                shm["shm_rows_inline"] > 0 and shm["shm_rows_fallback"] == 0,
-                f"{flavor}: every row rode the ring inline "
-                f"({shm['shm_rows_inline']} inline rows)",
-                failures,
-            )
-            _check(
-                grid_point["delta_encode_speedup"] >= minimum,
-                f"{flavor}: row encoding beats snapshot pickling "
-                f"({grid_point['delta_encode_speedup']}x >= {minimum:.2f}x)",
+                grid_point["rows_inline"] > 0 and grid_point["rows_fallback"] == 0,
+                f"{flavor}: every row encoded inline "
+                f"({grid_point['rows_inline']} inline rows)",
                 failures,
             )
     adaptivity = results["adaptivity"]
@@ -342,40 +327,18 @@ def check_x14(
             f"{transport}: undisturbed run absorbed no reconnects",
             failures,
         )
-    pickled = grid["transports"]["pickle"]
+    for transport, row in grid["transports"].items():
+        _check(
+            row["deltas"] > 0 and row["rows_inline"] > 0 and row["rows_fallback"] == 0,
+            f"{transport}: payload-free rows rode row frames inline "
+            f"({row['deltas']} deltas, {row['rows_inline']} rows)",
+            failures,
+        )
+    ratio_cap = limits["max_tcp_vs_pipe_check_ratio"] * (1.0 + tolerance)
     _check(
-        pickled["deltas_pickled"] > 0
-        and pickled["deltas_shm"] == 0
-        and pickled["deltas_framed"] == 0,
-        f"pickle arm shipped only pickled snapshots "
-        f"({pickled['deltas_pickled']} deltas)",
-        failures,
-    )
-    shm = grid["transports"]["shm"]
-    _check(
-        shm["deltas_shm"] > 0 and shm["deltas_framed"] == 0,
-        f"shm arm shipped only ring descriptors ({shm['deltas_shm']} deltas)",
-        failures,
-    )
-    tcp = grid["transports"]["tcp"]
-    _check(
-        tcp["deltas_framed"] > 0
-        and tcp["deltas_pickled"] == 0
-        and tcp["deltas_shm"] == 0,
-        f"tcp arm shipped only row frames ({tcp['deltas_framed']} deltas)",
-        failures,
-    )
-    _check(
-        tcp["frame_rows_inline"] > 0 and tcp["frame_rows_fallback"] == 0,
-        f"payload-free rows rode the frame encoding inline "
-        f"({tcp['frame_rows_inline']} rows)",
-        failures,
-    )
-    minimum = _relax(limits["min_frame_encode_vs_pickle"], tolerance)
-    _check(
-        grid["frame_encode_vs_pickle"] >= minimum,
-        f"frame encoding stays within its pickle budget "
-        f"({grid['frame_encode_vs_pickle']}x >= {minimum:.2f}x)",
+        grid["tcp_vs_pipe_check_ratio"] <= ratio_cap,
+        f"tcp check time per block stays near pipe's "
+        f"({grid['tcp_vs_pipe_check_ratio']}x <= {ratio_cap:.2f}x)",
         failures,
     )
     reconnect = results["reconnect"]

@@ -194,12 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     workload_parser.add_argument(
         "--transport",
-        choices=["pickle", "shm", "tcp"],
+        choices=["pipe", "tcp"],
         default=None,
         help=(
-            "delta transport of the processes shard mode: pickled snapshots, "
-            "the shared-memory row ring, or length-prefixed socket frames "
-            "(default: the $CHIMERA_TRANSPORT ambient setting, then pickle)"
+            "worker transport of the processes shard mode: forked local "
+            "workers on pipes, or socket workers (default: the "
+            "$CHIMERA_TRANSPORT ambient setting, then pipe)"
         ),
     )
     workload_parser.add_argument(

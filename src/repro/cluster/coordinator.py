@@ -154,8 +154,8 @@ class ShardCoordinator(TriggerSupport):
         self.shard_mode = shard_mode
         self.parallel = shard_mode == "threads"
         self.max_workers = max_workers
-        #: Delta transport of the process pool (``None`` defers to
-        #: ``$CHIMERA_TRANSPORT``, then ``pickle``); irrelevant to the other
+        #: Worker transport of the process pool (``None`` defers to
+        #: ``$CHIMERA_TRANSPORT``, then ``pipe``); irrelevant to the other
         #: modes, which share the coordinator's address space.
         self.transport = transport
         self._pool: ThreadPoolExecutor | None = None

@@ -1,34 +1,33 @@
 """TCP shard workers: the socket transport of the process shard pool.
 
-The trip protocol was transport-shaped from PR 5 on — one combined delta
-plus N ordered work segments per consulted worker, per-block decision
-replies, definitions shipped once per ``definition_order`` version — and
-:mod:`repro.cluster.transport` gave it a seam.  This module plugs sockets
-into that seam so shard workers can live **outside the coordinator's
-process tree**, on the same host or another one:
+The trip protocol is transport-shaped — one combined row-frame delta plus N
+ordered work segments per consulted worker, per-block decision replies,
+definitions shipped once per ``definition_order`` version — and
+:mod:`repro.cluster.transport` gives it a seam.  This module plugs blocking
+sockets into that seam so shard workers can live **outside the
+coordinator's process tree**, on the same host or another one:
 
 * **Framing** — every message is one length-prefixed frame (magic +
-  ``uint32`` length + pickled payload).  A frame that does not start with
-  the magic word means the byte stream desynced (or was corrupted); both
-  sides refuse to resynchronize and raise :class:`SnapshotError` loudly,
-  mirroring the shm ring's corrupt-header contract.
-* **Deltas** — mirror slices ship as :class:`~repro.cluster.transport._RowLog`
-  frames: the same fixed-width :class:`~repro.events.event_base.SnapshotRowCodec`
-  rows the shm ring uses, encoded once per EB position into an append-only
-  log and sliced per worker offset (``("rows", start, count, bytes, ...)``).
-* **Endpoint** — the coordinator runs an asyncio ``start_server`` loop on a
-  background thread; the pool keeps its synchronous trip protocol and talks
-  to each worker through a thin channel facade
-  (``run_coroutine_threadsafe``).  Workers handshake with a per-pool token
-  (``("hello", worker_id, token)``) and receive the engine config
-  (evaluation mode, compiled checks, metrics flag) in the reply — a remote
-  ``chimera-events worker`` needs the address and token, nothing else.
-* **Reconnects** — a new hello for an already-registered worker id replaces
-  the channel and is reported through ``poll_refreshed()``: the pool resets
-  that worker's shipping bookkeeping, so its next message re-ships every
-  definition and a fresh mirror snapshot from position 0 (the row log never
-  evicts).  A worker that dies *mid-trip* cannot be replaced retroactively —
-  the failed send/receive poisons the pool, exactly like a dead pipe.
+  ``uint32`` length + pickled payload), written with a single ``sendall``
+  on a ``TCP_NODELAY`` socket.  A frame that does not start with the magic
+  word means the byte stream desynced (or was corrupted); both sides refuse
+  to resynchronize and raise :class:`SnapshotError` loudly.
+* **Deltas** — the pool's row frames, exactly what the pipe transport
+  carries.
+* **Coordinator** — one listening socket and one
+  :class:`SocketFrameConnection` per worker, no threads: :meth:`launch`
+  accepts and handshakes until every worker id has registered.  Workers
+  handshake with a per-pool token (``("hello", worker_id, token)``) and
+  receive the engine config (evaluation mode, compiled checks, metrics
+  flag) in the reply — a remote ``chimera-events worker`` needs the address
+  and token, nothing else.
+* **Reconnects** — :meth:`poll_refreshed` runs a non-blocking accept at the
+  start of every trip.  A new hello for an already-registered worker id
+  replaces the channel and is reported to the pool, which resets that
+  worker's shipping bookkeeping: its next message re-ships every definition
+  and a fresh mirror from position 0 (the row log never evicts).  A worker
+  that dies *mid-trip* cannot be replaced retroactively — the failed
+  send/receive poisons the pool, exactly like a dead pipe.
 
 By default the transport binds ``127.0.0.1`` on an ephemeral port and forks
 its own localhost workers — single-host testing needs no setup.  Multi-host
@@ -39,24 +38,23 @@ with ``chimera-events worker --host ... --port ... --worker-id K --token T``.
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
 import os
 import pickle
 import secrets
+import select
 import socket
 import struct
 import sys
-import threading
 import time
 
 from repro.cluster.transport import (
     ShardTransport,
     WorkerConfig,
-    _RowLog,
+    _shutdown_members,
+    default_start_method,
 )
 from repro.errors import ShardWorkerError, SnapshotError
-from repro.events.event_base import EventBase
 
 __all__ = [
     "TCP_HOST_ENV_VAR",
@@ -64,7 +62,6 @@ __all__ = [
     "TCP_SPAWN_ENV_VAR",
     "TCP_TIMEOUT_ENV_VAR",
     "SocketFrameConnection",
-    "TcpCoordinatorEndpoint",
     "TcpTransport",
     "run_worker",
 ]
@@ -114,36 +111,29 @@ def _corrupt_frame_error(magic: bytes, length: int) -> SnapshotError:
     )
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> bytes:
-    """One length-prefixed frame off an asyncio stream (coordinator side)."""
-    header = await reader.readexactly(_FRAME_HEADER.size)
-    magic, length = _FRAME_HEADER.unpack(header)
-    if magic != _FRAME_MAGIC or length > _MAX_FRAME_BYTES:
-        raise _corrupt_frame_error(magic, length)
-    return await reader.readexactly(length)
-
-
 class SocketFrameConnection:
-    """Blocking frame codec over one socket (the worker side of a channel).
+    """Blocking frame codec over one socket — both ends of a tcp channel.
 
     Implements the same ``send_bytes`` / ``recv_bytes`` surface as a
     ``multiprocessing.Connection``, with the same failure idiom: ``EOFError``
-    when the peer is gone, ``OSError`` for transport faults — so the shard
-    worker loop runs on it unchanged.
+    when the peer is gone, ``OSError`` (including a socket timeout) for
+    transport faults — so the shard worker loop and the pool's poisoning
+    logic run on it unchanged.  ``TCP_NODELAY`` is set and every frame goes
+    out in one ``sendall``, so Nagle never holds a frame's tail back waiting
+    for the peer's delayed ACK.
     """
 
-    __slots__ = ("_sock",)
+    __slots__ = ("sock",)
 
     def __init__(self, sock: socket.socket) -> None:
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass  # non-TCP stream socket (tests run the codec over AF_UNIX)
-        self._sock = sock
+        self.sock = sock
 
     def send_bytes(self, payload: bytes) -> None:
-        self._sock.sendall(_FRAME_HEADER.pack(_FRAME_MAGIC, len(payload)))
-        self._sock.sendall(payload)
+        self.sock.sendall(_FRAME_HEADER.pack(_FRAME_MAGIC, len(payload)) + payload)
 
     def recv_bytes(self) -> bytes:
         header = self._recv_exact(_FRAME_HEADER.size)
@@ -157,7 +147,7 @@ class SocketFrameConnection:
         view = memoryview(buffer)
         received = 0
         while received < count:
-            chunk = self._sock.recv_into(view[received:])
+            chunk = self.sock.recv_into(view[received:])
             if chunk == 0:
                 raise EOFError("socket closed by peer")
             received += chunk
@@ -165,241 +155,10 @@ class SocketFrameConnection:
 
     def close(self) -> None:
         try:
-            self._sock.shutdown(socket.SHUT_RDWR)
+            self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        self._sock.close()
-
-
-class _TcpChannel:
-    """Coordinator side of one worker channel: a sync facade over the loop.
-
-    ``send_bytes`` / ``recv_bytes`` submit coroutines to the endpoint's
-    event loop and block on the result with the transport timeout.  Failure
-    types line up with the pipe transports — ``EOFError`` (via asyncio's
-    ``IncompleteReadError``) for a vanished peer, ``OSError`` (including the
-    built-in ``TimeoutError``) for transport faults — so the pool's
-    poisoning logic needs no per-transport cases.
-    """
-
-    __slots__ = ("_loop", "_reader", "_writer", "_timeout")
-
-    def __init__(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        timeout: float,
-    ) -> None:
-        self._loop = loop
-        self._reader = reader
-        self._writer = writer
-        self._timeout = timeout
-
-    def send_bytes(self, payload: bytes) -> None:
-        self._call(self._send(payload), "send")
-
-    def recv_bytes(self) -> bytes:
-        return self._call(_read_frame(self._reader), "receive")
-
-    async def _send(self, payload: bytes) -> None:
-        self._writer.write(_FRAME_HEADER.pack(_FRAME_MAGIC, len(payload)))
-        self._writer.write(payload)
-        await self._writer.drain()
-
-    def _call(self, coroutine, verb: str):
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        try:
-            return future.result(self._timeout)
-        except TimeoutError:
-            future.cancel()
-            raise TimeoutError(
-                f"tcp worker did not {verb} within {self._timeout:.0f}s"
-            ) from None
-
-    def close(self) -> None:
-        writer = self._writer
-
-        def _close() -> None:
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-        try:
-            self._loop.call_soon_threadsafe(_close)
-        except RuntimeError:
-            pass  # loop already stopped: the writer died with it
-
-
-class TcpCoordinatorEndpoint:
-    """The coordinator's asyncio server, on a dedicated background thread.
-
-    Accepts worker connections, validates the handshake, replies with the
-    engine config, and registers one channel per worker id.  A second hello
-    for a registered id *replaces* the channel (the reconnect path) and the
-    id is queued for :meth:`take_refreshed`.
-    """
-
-    def __init__(
-        self,
-        num_workers: int,
-        token: str,
-        config: WorkerConfig,
-        sock: socket.socket,
-        timeout: float,
-    ) -> None:
-        self._num_workers = num_workers
-        self._token = token
-        self._config = config
-        self._sock = sock
-        self._timeout = timeout
-        self._channels: dict[int, _TcpChannel] = {}
-        self._refreshed: set[int] = set()
-        self._registry = threading.Condition()
-        self._loop = asyncio.new_event_loop()
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._stop_requested = False
-        self._stopped: asyncio.Event | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="tcp-coordinator-endpoint", daemon=True
-        )
-
-    # -- lifecycle ----------------------------------------------------------
-    def start(self) -> None:
-        self._thread.start()
-        self._ready.wait(_HANDSHAKE_TIMEOUT)
-        if self._startup_error is not None:
-            raise ShardWorkerError(
-                f"tcp coordinator endpoint failed to start: {self._startup_error}"
-            ) from self._startup_error
-        if not self._ready.is_set():
-            raise ShardWorkerError("tcp coordinator endpoint failed to start")
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        try:
-            self._loop.run_until_complete(self._serve())
-        finally:
-            self._loop.close()
-
-    async def _serve(self) -> None:
-        self._stopped = asyncio.Event()
-        try:
-            server = await asyncio.start_server(self._handle, sock=self._sock)
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        if self._stop_requested:
-            self._stopped.set()
-        await self._stopped.wait()
-        server.close()
-        await server.wait_closed()
-        with self._registry:
-            channels = list(self._channels.values())
-        for channel in channels:
-            try:
-                channel._writer.close()
-            except Exception:
-                pass
-
-    def close(self) -> None:
-        def _request_stop() -> None:
-            self._stop_requested = True
-            if self._stopped is not None:
-                self._stopped.set()
-
-        try:
-            self._loop.call_soon_threadsafe(_request_stop)
-        except RuntimeError:
-            return  # loop already gone
-        self._thread.join(timeout=5.0)
-
-    # -- handshake ----------------------------------------------------------
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            hello = pickle.loads(
-                await asyncio.wait_for(_read_frame(reader), _HANDSHAKE_TIMEOUT)
-            )
-            accepted = (
-                isinstance(hello, tuple)
-                and len(hello) == 3
-                and hello[0] == "hello"
-                and isinstance(hello[1], int)
-                and 0 <= hello[1] < self._num_workers
-                and hello[2] == self._token
-            )
-            if not accepted:
-                reject = pickle.dumps(
-                    ("reject", "bad hello (unknown worker id or token)"), _PROTOCOL
-                )
-                writer.write(_FRAME_HEADER.pack(_FRAME_MAGIC, len(reject)))
-                writer.write(reject)
-                await writer.drain()
-                writer.close()
-                return
-            config = self._config
-            reply_payload = pickle.dumps(
-                (
-                    "config",
-                    config.mode_value,
-                    config.use_compiled_checks,
-                    config.metrics_enabled,
-                ),
-                _PROTOCOL,
-            )
-            writer.write(_FRAME_HEADER.pack(_FRAME_MAGIC, len(reply_payload)))
-            writer.write(reply_payload)
-            await writer.drain()
-        except Exception:
-            try:
-                writer.close()
-            except Exception:
-                pass
-            return
-        worker_id = hello[1]
-        channel = _TcpChannel(self._loop, reader, writer, self._timeout)
-        with self._registry:
-            previous = self._channels.get(worker_id)
-            self._channels[worker_id] = channel
-            if previous is not None:
-                # A replaced channel is a reconnect: the pool must re-ship
-                # defs + a fresh mirror before consulting this worker again.
-                self._refreshed.add(worker_id)
-            self._registry.notify_all()
-        if previous is not None:
-            previous.close()
-
-    # -- registry -----------------------------------------------------------
-    def wait_for_workers(self, count: int, timeout: float) -> None:
-        with self._registry:
-            if not self._registry.wait_for(
-                lambda: len(self._channels) >= count, timeout
-            ):
-                raise ShardWorkerError(
-                    f"only {len(self._channels)} of {count} tcp shard workers "
-                    f"connected within {timeout:.0f}s"
-                )
-
-    def channel(self, worker_id: int) -> _TcpChannel:
-        with self._registry:
-            channel = self._channels.get(worker_id)
-        if channel is None:
-            raise ShardWorkerError(
-                f"tcp shard worker {worker_id} has no registered channel"
-            )
-        return channel
-
-    def take_refreshed(self) -> tuple[int, ...]:
-        with self._registry:
-            refreshed = tuple(sorted(self._refreshed))
-            self._refreshed.clear()
-        return refreshed
+        self.sock.close()
 
 
 # ---------------------------------------------------------------------------
@@ -451,18 +210,13 @@ def run_worker(
         connection.close()
 
 
-def _spawned_worker_entry(host: str, port: int, worker_id: int, token: str) -> None:
-    """Process target of the transport's own localhost workers."""
-    run_worker(host, port, worker_id, token)
-
-
 # ---------------------------------------------------------------------------
 # The transport
 # ---------------------------------------------------------------------------
 
 
 class TcpTransport(ShardTransport):
-    """Socket-framed shard workers behind an asyncio coordinator endpoint."""
+    """Row-frame shard workers over blocking sockets."""
 
     name = "tcp"
 
@@ -474,10 +228,7 @@ class TcpTransport(ShardTransport):
         spawn_workers: bool | None = None,
         timeout: float | None = None,
     ) -> None:
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.start_method = start_method
+        self.start_method = start_method or default_start_method()
         self.host = host if host is not None else os.environ.get(
             TCP_HOST_ENV_VAR, "127.0.0.1"
         )
@@ -489,29 +240,35 @@ class TcpTransport(ShardTransport):
             spawn_workers = os.environ.get(TCP_SPAWN_ENV_VAR, "1").strip() != "0"
         self.spawn_workers = spawn_workers
         self.timeout = timeout if timeout is not None else _default_timeout()
+        #: The pool token, published by :meth:`launch` once the listener is
+        #: bound and :attr:`port` is final.
         self.token: str | None = None
-        self._endpoint: TcpCoordinatorEndpoint | None = None
-        self._sock: socket.socket | None = None
-        self._processes: dict[int, multiprocessing.process.BaseProcess] = {}
+        self._config: WorkerConfig | None = None
         self._num_workers = 0
-        self._row_log = _RowLog()
+        self._listener: socket.socket | None = None
+        self._channels: dict[int, SocketFrameConnection] = {}
+        #: Registered worker ids whose channel was replaced since the last
+        #: :meth:`poll_refreshed`.
+        self._refreshed: set[int] = set()
+        self._processes: dict[int, multiprocessing.process.BaseProcess] = {}
         self._closed = False
 
     # -- lifecycle ----------------------------------------------------------
     def launch(self, num_workers: int, config: WorkerConfig) -> None:
         self._num_workers = num_workers
-        self.token = secrets.token_hex(16)
-        # Bind before anything else: spawned workers connect immediately (the
-        # kernel parks them in the backlog) and the server thread — with its
-        # event loop — starts only after every fork, so no worker is ever
-        # forked from a threaded parent at launch.
-        self._sock = socket.create_server(
+        self._config = config
+        listener = socket.create_server(
             (self.host, self.port), backlog=max(8, num_workers * 2)
         )
-        self.port = self._sock.getsockname()[1]
-        self._endpoint = TcpCoordinatorEndpoint(
-            num_workers, self.token, config, self._sock, self.timeout
-        )
+        # Accepts happen only after select() reports a pending connection; a
+        # non-blocking listener keeps a peer that vanished in between from
+        # stalling the accept.
+        listener.setblocking(False)
+        self._listener = listener
+        self.port = listener.getsockname()[1]
+        # Published last: whoever polls for the token (an operator script, a
+        # test starting external workers) finds the port already bound.
+        self.token = secrets.token_hex(16)
         if self.spawn_workers:
             for worker_id in range(num_workers):
                 self.spawn_worker(worker_id)
@@ -526,18 +283,19 @@ class TcpTransport(ShardTransport):
                 file=sys.stderr,
                 flush=True,
             )
-        self._endpoint.start()
-        self._endpoint.wait_for_workers(
-            num_workers, _HANDSHAKE_TIMEOUT if self.spawn_workers else self.timeout
+        self._accept_until(
+            lambda: len(self._channels) >= num_workers,
+            _HANDSHAKE_TIMEOUT if self.spawn_workers else self.timeout,
+            f"{num_workers} tcp shard workers did not all connect",
         )
         # Launch-time registrations are first contacts, not reconnects.
-        self._endpoint.take_refreshed()
+        self._refreshed.clear()
 
     def spawn_worker(self, worker_id: int):
         """Fork one localhost worker process for ``worker_id``."""
         context = multiprocessing.get_context(self.start_method)
         process = context.Process(
-            target=_spawned_worker_entry,
+            target=run_worker,
             args=(self.host, self.port, worker_id, self.token),
             name=f"tcp-shard-worker-{worker_id}",
             daemon=True,
@@ -549,87 +307,139 @@ class TcpTransport(ShardTransport):
     def respawn_worker(self, worker_id: int, timeout: float = _HANDSHAKE_TIMEOUT):
         """Kill a localhost worker and bring up a replacement (test hook).
 
-        Waits until the replacement's channel is registered, so the next
-        trip is guaranteed to see the reconnect via :meth:`poll_refreshed`.
+        Blocks until the replacement has shaken hands, so the next trip is
+        guaranteed to see the reconnect via :meth:`poll_refreshed`.
         """
         previous = self._processes.get(worker_id)
         if previous is not None and previous.is_alive():
             previous.kill()
             previous.join(timeout=5.0)
         process = self.spawn_worker(worker_id)
-        endpoint = self._endpoint
-        assert endpoint is not None
-        with endpoint._registry:
-            if not endpoint._registry.wait_for(
-                lambda: worker_id in endpoint._refreshed, timeout
-            ):
-                raise ShardWorkerError(
-                    f"respawned tcp worker {worker_id} did not reconnect "
-                    f"within {timeout:.0f}s"
-                )
+        self._accept_until(
+            lambda: worker_id in self._refreshed,
+            timeout,
+            f"respawned tcp worker {worker_id} did not reconnect",
+        )
         return process
 
-    def channel(self, worker_id: int) -> _TcpChannel:
-        endpoint = self._endpoint
-        if endpoint is None:
-            raise ShardWorkerError("tcp transport was never launched")
-        return endpoint.channel(worker_id)
+    def channel(self, worker_id: int) -> SocketFrameConnection:
+        channel = self._channels.get(worker_id)
+        if channel is None:
+            raise ShardWorkerError(
+                f"tcp shard worker {worker_id} has no registered channel"
+            )
+        return channel
 
     def process(self, worker_id: int):
         return self._processes.get(worker_id)
 
     def poll_refreshed(self) -> tuple[int, ...]:
-        if self._endpoint is None:
-            return ()
-        return self._endpoint.take_refreshed()
+        while self._pending_connection(0.0):
+            self._admit()
+        refreshed = tuple(sorted(self._refreshed))
+        self._refreshed.clear()
+        return refreshed
 
-    # -- deltas -------------------------------------------------------------
-    def begin_trip(self, event_base: EventBase, total: int, offsets: list[int]) -> None:
-        if offsets:
-            self._row_log.encode_through(event_base, total)
+    # -- accept + handshake -------------------------------------------------
+    def _accept_until(self, done, timeout: float, failure: str) -> None:
+        """Admit connections until ``done()``; fail after ``timeout`` seconds.
 
-    def delta_for(
-        self, event_base: EventBase, total: int, offset: int, shipped_types: int
-    ) -> tuple:
-        log = self._row_log
-        return log.delta(offset, shipped_types), len(log.codec.type_snapshots)
+        Waits in short slices so a concurrent :meth:`shutdown` ends a
+        ``launch()`` that is still waiting for workers promptly.
+        """
+        deadline = time.monotonic() + timeout
+        while not done():
+            if self._closed:
+                raise ShardWorkerError(
+                    "tcp transport shut down while waiting for workers"
+                )
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ShardWorkerError(
+                    f"{failure} within {timeout:.0f}s "
+                    f"({len(self._channels)} registered)"
+                )
+            if self._pending_connection(min(remaining, 0.1)):
+                self._admit()
 
-    def note_reset(self) -> None:
-        self._row_log.reset()
+    def _pending_connection(self, wait: float) -> bool:
+        listener = self._listener
+        if listener is None or self._closed:
+            return False
+        try:
+            readable, _, _ = select.select([listener], [], [], wait)
+        except (OSError, ValueError):
+            return False  # closed by a concurrent shutdown()
+        return bool(readable)
 
-    def extra_stats(self) -> dict:
-        return {
-            "frame_rows_inline": self._row_log.rows_inline,
-            "frame_rows_fallback": self._row_log.rows_fallback,
-        }
+    def _admit(self) -> None:
+        """Accept one connection and register it if its handshake is valid.
+
+        A hello for an already-registered worker id replaces that channel
+        (the reconnect path) and marks the id refreshed.
+        """
+        try:
+            sock, _ = self._listener.accept()
+        except (OSError, AttributeError):
+            return  # the peer vanished, or a concurrent shutdown() closed us
+        sock.settimeout(_HANDSHAKE_TIMEOUT)
+        connection = SocketFrameConnection(sock)
+        try:
+            hello = pickle.loads(connection.recv_bytes())
+            accepted = (
+                isinstance(hello, tuple)
+                and len(hello) == 3
+                and hello[0] == "hello"
+                and isinstance(hello[1], int)
+                and 0 <= hello[1] < self._num_workers
+                and hello[2] == self.token
+            )
+            if not accepted:
+                connection.send_bytes(
+                    pickle.dumps(
+                        ("reject", "bad hello (unknown worker id or token)"),
+                        _PROTOCOL,
+                    )
+                )
+                connection.close()
+                return
+            config = self._config
+            connection.send_bytes(
+                pickle.dumps(
+                    (
+                        "config",
+                        config.mode_value,
+                        config.use_compiled_checks,
+                        config.metrics_enabled,
+                    ),
+                    _PROTOCOL,
+                )
+            )
+        except Exception:
+            connection.close()
+            return
+        sock.settimeout(self.timeout)
+        worker_id = hello[1]
+        previous = self._channels.get(worker_id)
+        self._channels[worker_id] = connection
+        if previous is not None:
+            # A replaced channel is a reconnect: the pool must re-ship defs +
+            # a fresh mirror before consulting this worker again.
+            self._refreshed.add(worker_id)
+            previous.close()
 
     # -- teardown -----------------------------------------------------------
     def shutdown(self) -> None:
         if self._closed:
             return
         self._closed = True
-        endpoint = self._endpoint
-        if endpoint is not None:
-            stop = pickle.dumps(("stop",), _PROTOCOL)
-            for worker_id in range(self._num_workers):
-                try:
-                    endpoint.channel(worker_id).send_bytes(stop)
-                except Exception:
-                    pass
-        for process in self._processes.values():
-            try:
-                process.join(timeout=2.0)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=1.0)
-            except Exception:
-                pass
-        if endpoint is not None:
-            endpoint.close()
-            self._endpoint = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+        channels = dict(self._channels)
+        _shutdown_members(
+            [
+                (self._processes.get(worker_id), channels.get(worker_id))
+                for worker_id in sorted(set(self._processes) | set(channels))
+            ]
+        )
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None

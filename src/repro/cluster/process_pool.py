@@ -6,12 +6,12 @@ module is the out-of-process step the coordinator's evaluate/apply split was
 designed for: N **long-lived worker processes**, each owning its shard's
 sub-table — the triggering event expressions and the per-rule incremental
 :class:`~repro.core.triggering.TriggerMemo`s of the rules dealt to it — plus a
-**mirror Event Base** grown incrementally from per-block window snapshots.
+**mirror Event Base** grown incrementally from per-trip row-frame deltas.
 
 Per *trip* — one block, or a whole micro-batch of consecutive blocks (PR 5)
 — the coordinator ships each consulted worker one message::
 
-    (window-snapshot of the EB slice the worker has not seen,
+    (row frame of the EB slice the worker has not seen,
      new/changed rule definitions, dropped rule names,
      N ordered work segments (block index, work items, now))
 
@@ -24,7 +24,7 @@ the batched check semantics evaluate each block over the *complete* trip log
 bounded by that block's ``now`` (exactly what the coordinator's serial mode
 sees through its zero-copy views — with one combined delta, cross-block
 time-stamp ties resolve identically in and out of process, and the trip pays
-one snapshot encode instead of N).  The worker walks the segments in order —
+one delta encode instead of N).  The worker walks the segments in order —
 skipping, in later segments, exactly the rules the per-block path would no
 longer have planned once the earlier decisions applied: rules it already
 found triggered in this trip, and pending-only riders that already saw a
@@ -48,39 +48,30 @@ Three design points make the equivalence exact rather than approximate:
   precedence sub-expressions read occurrences of types other shards own), so
   a worker-side window is byte-equivalent to the coordinator's zero-copy
   view;
-* **synchronous failure** — snapshots are pickled in the coordinator
-  process (:meth:`WindowSnapshot.pickled`), so an unpicklable user payload
-  raises a clear :class:`~repro.errors.SnapshotError` at the call site
-  instead of crashing a worker.
+* **synchronous failure** — deltas are encoded in the coordinator process
+  (:class:`~repro.cluster.transport._RowLog`), and a row too wide for the
+  fixed-width form is pickle-checked there, so an unpicklable user payload
+  raises a clear :class:`~repro.errors.SnapshotError` naming the offending
+  occurrence at the call site instead of crashing a worker.
 
 Workers are daemonic and additionally reaped by a ``weakref.finalize``
 shutdown, so an abandoned pool cannot leak processes past its coordinator.
 
-Three delta **transports** ship the mirror slices, behind the
-:class:`~repro.cluster.transport.ShardTransport` seam (PR 9 added the ring,
-PR 10 extracted the interface and added sockets):
+Every delta crosses as a **row frame**: fixed-width
+:class:`~repro.events.event_base.SnapshotRowCodec` rows, encoded once per EB
+position into an append-only log and sliced per worker offset, with rows
+that do not fit the fixed width (payloads, wide OIDs) riding along as
+out-of-band snapshot tuples.  A frame whose length or placeholders do not
+add up raises :class:`SnapshotError` in the worker and poisons the pool,
+exactly like a mirror divergence.  Two transports carry the frames, behind
+the :class:`~repro.cluster.transport.ShardTransport` seam:
 
-* ``pickle`` — the original path: the coordinator pickles a
-  :class:`WindowSnapshot` of the unseen EB slice into each worker's message;
-* ``shm`` — a ``multiprocessing.shared_memory`` **ring of fixed-width rows**
-  (:class:`~repro.events.event_base.SnapshotRowCodec`): every occurrence is
-  encoded exactly once, coordinator-side, into its ring slot (``position %
-  capacity``), and each worker's message carries only an ``(offset, count)``
-  descriptor — payload-free streams cross with zero pickling.  Rows that do
-  not fit the fixed-width form (payloads, wide OIDs) leave a placeholder in
-  the ring and travel as ordinary snapshot tuples piggybacked on the
-  descriptor; a worker lagging by more than the ring capacity falls back to
-  the pickled snapshot for that trip.  The pipe send/receive is the
-  synchronization barrier — a worker only reads slots the coordinator wrote
-  before sending the descriptor, so there are no torn reads.  Header or
-  codec divergence (a corrupted ring, a type index the worker never
-  received) raises :class:`SnapshotError` in the worker and poisons the
-  pool, exactly like a mirror divergence;
-* ``tcp`` — :mod:`repro.cluster.net`: the same fixed-width rows shipped *by
-  value* as length-prefixed socket frames through an asyncio coordinator
-  endpoint, so workers can run outside the coordinator's process tree (or
-  on other hosts).  A worker that reconnects between trips re-syncs its
-  definitions and a fresh mirror from position 0 before rejoining
+* ``pipe`` (the default) — forked local workers on ``multiprocessing``
+  pipes;
+* ``tcp`` — :mod:`repro.cluster.net`: length-prefixed socket frames, so
+  workers can run outside the coordinator's process tree (or on other
+  hosts).  A worker that reconnects between trips re-syncs its definitions
+  and a fresh mirror from position 0 before rejoining
   (:meth:`ShardTransport.poll_refreshed`); one that vanishes mid-trip
   poisons the pool exactly like a dead pipe.
 """
@@ -95,15 +86,11 @@ from typing import Sequence
 
 from repro.cluster.transport import (
     DEFAULT_TRANSPORT_ENV_VAR,
-    RING_ROWS_ENV_VAR,
     TRANSPORTS,
     WorkerConfig,
-    _destroy_ring,
     _FrameReader,
-    _RingReader,
-    _SnapshotRing,
+    _RowLog,
     create_transport,
-    default_ring_rows,
     default_transport,
 )
 from repro.core.compile import compile_check
@@ -112,7 +99,7 @@ from repro.core.triggering import TriggerMemo, TriggeringDecision, is_triggered
 from repro.errors import ShardWorkerError, SnapshotError
 from repro.events.clock import Timestamp
 from repro.events.event import EventType
-from repro.events.event_base import EventBase, WindowSnapshot
+from repro.events.event_base import EventBase
 from repro.obs.registry import MetricsRegistry
 from repro.rules.rule import RuleState
 
@@ -120,20 +107,10 @@ __all__ = [
     "ProcessShardPool",
     "TRANSPORTS",
     "DEFAULT_TRANSPORT_ENV_VAR",
-    "RING_ROWS_ENV_VAR",
     "default_transport",
-    "default_ring_rows",
 ]
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
-
-# Ring internals stay importable from here (tests/events/test_row_codec.py
-# exercises the codec through them); the implementations moved to
-# repro.cluster.transport with the rest of the delta machinery.
-_SnapshotRing = _SnapshotRing
-_RingReader = _RingReader
-_destroy_ring = _destroy_ring
-
 
 # ---------------------------------------------------------------------------
 # Worker side (runs in the child process; must stay module-level so the pool
@@ -169,43 +146,7 @@ def _worker_main(
     #: exactly once per shipped definition version.
     rules: dict[str, list] = {}
     type_cache: dict[tuple, EventType] = {}
-    ring_reader = _RingReader()
     frame_reader = _FrameReader()
-    try:
-        _worker_loop(
-            connection,
-            mode,
-            compiled_checks,
-            registry,
-            trips_counter,
-            rules_counter,
-            check_hist,
-            rules,
-            type_cache,
-            ring_reader,
-            frame_reader,
-            mirror,
-        )
-    finally:
-        # Whatever the exit path — stop message, pipe death, a raise — the
-        # shared-memory attachment is released before the process ends.
-        ring_reader.detach()
-
-
-def _worker_loop(
-    connection,
-    mode,
-    compiled_checks,
-    registry,
-    trips_counter,
-    rules_counter,
-    check_hist,
-    rules,
-    type_cache,
-    ring_reader,
-    frame_reader,
-    mirror,
-) -> None:
     while True:
         try:
             request = pickle.loads(connection.recv_bytes())
@@ -226,7 +167,6 @@ def _worker_loop(
                 # into the abandoned mirror) and re-bind on the next check.
                 mirror = EventBase()
                 type_cache.clear()
-                ring_reader.reset()
                 frame_reader.reset()
                 for entry in rules.values():
                     entry[2].clear()
@@ -236,13 +176,7 @@ def _worker_loop(
                 continue
             _, delta, defs, drops, segments = request
             if delta is not None:
-                if isinstance(delta, bytes):
-                    snapshot = WindowSnapshot.from_pickled(delta)
-                    mirror.extend(snapshot.occurrences(type_cache=type_cache))
-                elif delta[0] == "shm":
-                    mirror.extend(ring_reader.read(delta, type_cache))
-                else:
-                    mirror.extend(frame_reader.read(delta, type_cache))
+                mirror.extend(frame_reader.read(delta, type_cache))
             # Drops before defs: a removed-then-re-added name must end up
             # with the fresh definition, not the stale entry.
             for name in drops:
@@ -394,8 +328,8 @@ class _WorkerHandle:
         self.connection = connection
         #: How much of the current EB log this worker's mirror holds.
         self.shipped_events = 0
-        #: How much of the row codec's type table this worker holds (shm and
-        #: tcp transports; new types piggyback on each delta).
+        #: How much of the row codec's type table this worker holds (new
+        #: types piggyback on each delta).
         self.shipped_types = 0
         #: rule name -> definition order of the definition last shipped.
         self.shipped_defs: dict[str, int] = {}
@@ -435,7 +369,6 @@ class ProcessShardPool:
         use_compiled_checks: bool = False,
         metrics: MetricsRegistry | None = None,
         transport: str | None = None,
-        ring_rows: int | None = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError(
@@ -443,28 +376,16 @@ class ProcessShardPool:
             )
         if transport is None:
             transport = default_transport()
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; expected one of "
-                f"{', '.join(TRANSPORTS)}"
-            )
-        if ring_rows is None:
-            ring_rows = default_ring_rows()
-        if ring_rows < 1:
-            raise ValueError(f"ring_rows must be positive (got {ring_rows})")
         self.num_workers = num_workers
         self.mode = mode
         self.use_compiled_checks = use_compiled_checks
         self.transport = transport
-        self.ring_rows = ring_rows
         #: Coordinator-side registry the workers' reply deltas merge into
         #: (None = discard them).  Workers receive only the enabled *flag* —
         #: registries do not cross the process boundary.
         self.metrics = metrics
         metrics_enabled = metrics is not None and metrics.enabled
-        self._transport = create_transport(
-            transport, start_method=start_method, ring_rows=ring_rows
-        )
+        self._transport = create_transport(transport, start_method=start_method)
         self.start_method = self._transport.start_method
         try:
             self._transport.launch(
@@ -504,25 +425,17 @@ class ProcessShardPool:
         #: Worker channels replaced by a reconnect (tcp transport), each
         #: followed by a defs + mirror re-sync on the next contact.
         self.reconnects = 0
-        #: Coordinator-side serialization cost (snapshot + message pickling):
+        #: Coordinator-side serialization cost (delta + message pickling):
         #: the "snapshot cost" side of the crossover PERFORMANCE.md discusses.
         self.encode_seconds = 0.0
-        #: The delta-only share of ``encode_seconds`` (ring rows, frame rows
-        #: or pickled snapshots) — the number the X13/X14 transport benches
-        #: compare.
+        #: The delta-only share of ``encode_seconds``: row encoding plus
+        #: per-worker frame slicing.
         self.delta_encode_seconds = 0.0
-        #: Per-worker deltas shipped by each path (pickle transport counts
-        #: everything under ``deltas_pickled``; shm splits descriptor vs
-        #: fallback; tcp counts row frames under ``deltas_framed``).
-        self.deltas_shm = 0
-        self.deltas_pickled = 0
-        self.deltas_framed = 0
+        #: Per-worker row frames shipped.
+        self.deltas = 0
+        #: The encoded EB log every worker's delta is sliced from.
+        self._row_log = _RowLog()
         self._finalizer = weakref.finalize(self, self._transport.shutdown)
-
-    @property
-    def _ring(self):
-        """The shm transport's ring (None before first dispatch / elsewhere)."""
-        return getattr(self._transport, "ring", None)
 
     # -- the per-trip round trip ------------------------------------------------
     def evaluate(
@@ -577,25 +490,20 @@ class ProcessShardPool:
         """
         self._require_usable()
         self._absorb_reconnects()
-        transport = self._transport
+        row_log = self._row_log
         total = len(event_base.occurrences)
         by_name: dict[str, RuleState] = {}
         prepared: list[_PreparedSend] = []
         covered_blocks: set[int] = set()
         started = time.perf_counter()
-        lagging = sorted(
-            {
-                self._workers[worker_id].shipped_events
-                for worker_id in assignments
-                if self._workers[worker_id].shipped_events < total
-            }
-        )
-        # Encode the unseen tail of the log once (ring slots, frame rows, or
-        # nothing for the pickle transport) — every lagging worker's delta is
-        # then a descriptor or slice of the same encoded log.
-        encode_started = time.perf_counter()
-        transport.begin_trip(event_base, total, lagging)
-        self.delta_encode_seconds += time.perf_counter() - encode_started
+        if any(
+            self._workers[worker_id].shipped_events < total for worker_id in assignments
+        ):
+            # Encode the unseen tail of the log once — every lagging worker's
+            # delta is then a slice of the same encoded log.
+            encode_started = time.perf_counter()
+            row_log.encode_through(event_base, total)
+            self.delta_encode_seconds += time.perf_counter() - encode_started
         for worker_id in sorted(assignments):
             handle = self._workers[worker_id]
             segment_items = assignments[worker_id]
@@ -620,20 +528,14 @@ class ProcessShardPool:
                 if items:
                     segments.append((segment_index, tuple(items), nows[segment_index]))
                     covered_blocks.add(segment_index)
-            delta: bytes | tuple | None = None
+            delta: tuple | None = None
             advance_types: int | None = None
             if handle.shipped_events < total:
                 encode_started = time.perf_counter()
-                delta, advance_types = transport.delta_for(
-                    event_base, total, handle.shipped_events, handle.shipped_types
-                )
+                delta = row_log.delta(handle.shipped_events, handle.shipped_types)
+                advance_types = len(row_log.codec.type_snapshots)
                 self.delta_encode_seconds += time.perf_counter() - encode_started
-                if isinstance(delta, bytes):
-                    self.deltas_pickled += 1
-                elif delta[0] == "shm":
-                    self.deltas_shm += 1
-                else:
-                    self.deltas_framed += 1
+                self.deltas += 1
             message = (
                 "check",
                 delta,
@@ -643,7 +545,7 @@ class ProcessShardPool:
             )
             prepared.append((handle, self._encode(message), new_defs, advance_types))
         self.encode_seconds += time.perf_counter() - started
-        # Nothing is sent until every message encoded cleanly: a snapshot
+        # Nothing is sent until every message encoded cleanly: an encoding
         # failure therefore leaves every worker exactly where it was.
         for handle, payload, new_defs, advance_types in prepared:
             self._send(handle, payload)
@@ -720,7 +622,7 @@ class ProcessShardPool:
             self._receive(handle)
             handle.shipped_events = 0
             handle.shipped_types = 0
-        self._transport.note_reset()
+        self._row_log.reset()
 
     # -- transport ------------------------------------------------------------
     def _require_usable(self) -> None:
@@ -806,7 +708,7 @@ class ProcessShardPool:
     # -- lifecycle ------------------------------------------------------------
     def transport_stats(self) -> dict[str, int | float]:
         """Wire-level counters (merged into the workload reports)."""
-        stats = {
+        return {
             "workers": self.num_workers,
             "dispatches": self.dispatches,
             "worker_round_trips": self.worker_round_trips,
@@ -817,16 +719,10 @@ class ProcessShardPool:
             "reconnects": self.reconnects,
             "encode_ms": round(1e3 * self.encode_seconds, 2),
             "delta_encode_ms": round(1e3 * self.delta_encode_seconds, 2),
-            "deltas_shm": self.deltas_shm,
-            "deltas_pickled": self.deltas_pickled,
-            "deltas_framed": self.deltas_framed,
-            "shm_rows_inline": 0,
-            "shm_rows_fallback": 0,
-            "frame_rows_inline": 0,
-            "frame_rows_fallback": 0,
+            "deltas": self.deltas,
+            "rows_inline": self._row_log.rows_inline,
+            "rows_fallback": self._row_log.rows_fallback,
         }
-        stats.update(self._transport.extra_stats())
-        return stats
 
     def close(self) -> None:
         """Stop and reap the workers, then release the transport (idempotent)."""

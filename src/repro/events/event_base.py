@@ -30,6 +30,7 @@ import bisect
 import operator
 import pickle
 import struct
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -551,20 +552,6 @@ class EventBase(_OccurrenceStore):
         """Zero-copy view spanning the whole transaction (preserving-rule view)."""
         return self.view(after=None, until=None)
 
-    def delta_snapshot(self, since: int = 0) -> "WindowSnapshot":
-        """Picklable snapshot of the log suffix ``occurrences[since:]``.
-
-        The wire form of the mirror-EB protocol: a process shard worker whose
-        mirror holds the first ``since`` occurrences catches up by applying
-        exactly this delta (:class:`WindowSnapshot` rows, appended in log
-        order).  A micro-batched trip ships **one** such delta covering every
-        block of the batch — each block's check then bounds the complete trip
-        log by its own ``now``, so cross-block time-stamp ties resolve
-        identically in the worker's mirror and in the coordinator's zero-copy
-        views.
-        """
-        return WindowSnapshot.of(self.occurrences[since:])
-
 
 class EventWindow(_OccurrenceStore):
     """An immutable, materialized view over a slice of the Event Base.
@@ -839,8 +826,9 @@ class WindowSnapshot:
     can cross a process boundary.  It carries the window bounds plus one
     compact row per occurrence (``EventOccurrence.snapshot()`` tuples — plain
     ints/strings/dicts, no index structures), so pickling cost scales with
-    the occurrence count, not with the parent store.  The shard coordinator
-    ships each block's new slice to its process workers this way; restoring
+    the occurrence count, not with the parent store.  (Process shard workers
+    receive the same rows as fixed-width frames, see
+    :class:`SnapshotRowCodec`.)  Restoring
     (:meth:`restore` / :meth:`occurrences`) rebuilds real occurrence objects,
     interning the event types so a batch allocates each distinct type once.
     """
@@ -928,10 +916,10 @@ class WindowSnapshot:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-width row codec: the shared-memory wire format of occurrence rows.
+# Fixed-width row codec: the wire format of occurrence rows.
 # ---------------------------------------------------------------------------
 
-#: One ring row: eid (int64), timestamp (int64), event-type index (uint32),
+#: One row: eid (int64), timestamp (int64), event-type index (uint32),
 #: OID kind (uint8), OID length (uint8), OID bytes (fixed field).  48 bytes —
 #: cache-line friendly, and wide enough that the common OIDs of every shipped
 #: workload (small ints, short strings) encode inline.
@@ -961,14 +949,14 @@ _OID_BYTES = 26
 class SnapshotRowCodec:
     """Fixed-width encoder/decoder for :class:`WindowSnapshot`-style rows.
 
-    The shared-memory transport (``repro.cluster.process_pool``) and the
-    socket transport (``repro.cluster.net``) ship the Event Base delta as
-    fixed-width rows instead of a pickled snapshot:
+    The process shard pool (``repro.cluster.process_pool``) ships every
+    Event Base delta to its workers as fixed-width rows, over either
+    transport, instead of a pickled snapshot:
     payload-free occurrences with small-int or short-string OIDs pack into
     one :data:`ROW_WIDTH`-byte slot each, with the event type interned into a
     side table that crosses to the worker once per new type.  Decoded rows
-    are the exact ``EventOccurrence.snapshot()`` tuples the pickle path
-    produces, so every transport rebuilds byte-identical mirrors
+    are the exact ``EventOccurrence.snapshot()`` tuples, so workers rebuild
+    byte-identical mirrors
     (``tests/events/test_row_codec.py`` pins the round trip).
 
     Encoder and decoder each hold one codec: the encoder grows
@@ -1061,7 +1049,7 @@ class SnapshotRowCodec:
         """The snapshot tuple at ``offset``, or ``None`` for a placeholder.
 
         A row whose type index or OID kind the decoder cannot resolve means
-        the two codecs diverged (or the ring was corrupted) — that raises
+        the two codecs diverged (or the frame was corrupted) — that raises
         :class:`SnapshotError` so the transport can fail loudly instead of
         rebuilding a wrong mirror.
         """
@@ -1073,15 +1061,18 @@ class SnapshotRowCodec:
         if kind == _ROW_INT_OID:
             oid: Any = int.from_bytes(oid_raw[:8], "little", signed=True)
         elif kind == _ROW_STR_OID:
-            oid = oid_raw[:oid_len].decode("utf-8")
+            # Interned: a mirror holds a handful of distinct OIDs across
+            # thousands of rows, and the calculus keys dicts by them — one
+            # shared object per OID keeps those lookups on the identity path.
+            oid = sys.intern(oid_raw[:oid_len].decode("utf-8"))
         else:
             raise SnapshotError(
-                f"shared-memory row codec divergence: unknown OID kind {kind} "
+                f"row codec divergence: unknown OID kind {kind} "
                 f"at byte offset {offset}"
             )
         if type_index >= len(self.type_snapshots):
             raise SnapshotError(
-                f"shared-memory row codec divergence: row references event "
+                f"row codec divergence: row references event "
                 f"type {type_index} but only {len(self.type_snapshots)} types "
                 f"were shipped"
             )

@@ -104,9 +104,8 @@ class ChimeraDatabase:
             # pass MetricsRegistry(enabled=False) to run uninstrumented.
             metrics=metrics,
             # transport=None defers to the ambient default
-            # ($CHIMERA_TRANSPORT): how the processes shard mode ships EB
-            # deltas — "pickle" snapshots, the "shm" row ring or "tcp"
-            # socket frames.
+            # ($CHIMERA_TRANSPORT): how the processes shard mode reaches its
+            # workers — "pipe" (forked local) or "tcp" (sockets).
             transport=transport,
         )
         # batch_blocks=None defers to the ambient default

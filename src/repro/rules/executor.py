@@ -88,10 +88,9 @@ class RuleEngine:
     #: creates an enabled private registry; pass
     #: ``MetricsRegistry(enabled=False)`` to run uninstrumented.
     metrics: MetricsRegistry | None = None
-    #: Delta transport of the processes shard mode — "pickle" (snapshot
-    #: pickling), "shm" (shared-memory row ring) or "tcp" (length-prefixed
-    #: socket frames to spawned workers).  ``None`` defers to the ambient
-    #: ``$CHIMERA_TRANSPORT`` default.
+    #: Worker transport of the processes shard mode — "pipe" (forked local
+    #: workers) or "tcp" (socket workers); both ship row-frame deltas.
+    #: ``None`` defers to the ambient ``$CHIMERA_TRANSPORT`` default.
     transport: str | None = None
 
     def __post_init__(self) -> None:

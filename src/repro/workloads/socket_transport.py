@@ -1,22 +1,22 @@
-"""Socket-transport workloads: the X14 benchmark (PR 10).
+"""Socket-transport workloads: the X14 benchmark.
 
-PR 10 extracts the delta-shipping plumbing behind the
-:class:`~repro.cluster.transport.ShardTransport` seam and adds the TCP
-implementation (:mod:`repro.cluster.net`): shard workers reachable over
-length-prefixed socket frames instead of inherited pipes, which is the
-prerequisite for multi-host scale-out.  The X14 benchmark
-(``benchmarks/bench_x14_socket_transport.py`` and ``chimera-events bench
-x14``) measures what the socket path costs and pins what it must never
-change:
+Shard workers are reached through the
+:class:`~repro.cluster.transport.ShardTransport` seam: forked local workers
+on pipes, or socket workers (:mod:`repro.cluster.net`) that may live outside
+the coordinator's process tree.  Both carry the same row-frame deltas.  The
+X14 benchmark (``benchmarks/bench_x14_socket_transport.py`` and
+``chimera-events bench x14``) measures what the socket path costs and pins
+what it must never change:
 
 * **transport grid** — the X13 check-heavy stream through the process
-  coordinator once per transport (pickle / shm / tcp over localhost
-  workers): the per-block delta-encode cost of frame rows vs ring rows vs
-  snapshot pickling, plus the *structural* trip-protocol facts — every rule
-  definition shipped exactly once per ``definition_order`` version
-  (``defs_shipped == rules``), exactly one coordinator message per
-  consulted worker per trip (``worker_round_trips == parallel_batches``),
-  and each transport's deltas riding only its own encoding;
+  coordinator once per transport (pipe / tcp over localhost workers): the
+  end-to-end check time per block of tcp against pipe (the ratio a Nagle
+  stall on the coordinator's sockets would blow up), plus the *structural*
+  trip-protocol facts — every rule definition shipped exactly once per
+  ``definition_order`` version (``defs_shipped == rules``), exactly one
+  coordinator message per consulted worker per trip
+  (``worker_round_trips == parallel_batches``), and every delta a row
+  frame;
 * **reconnect** — a tcp worker bounced between trips: the pool must absorb
   exactly one reconnect, re-ship the bounced worker's definitions, and end
   the run with triggering counters and consideration sequences
@@ -25,7 +25,7 @@ change:
 
 Every grid point asserts identical triggering decisions, priority-order
 selections and Trigger Support stats across the single table, the serial
-coordinator and all three process transports — the differential harness in
+coordinator and both process transports — the differential harness in
 ``tests/cluster/test_mode_equivalence.py`` pins the same properties
 per-rule and per-counter.
 """
@@ -36,6 +36,7 @@ import gc
 import os
 
 from repro.analysis.reporting import render_table
+from repro.cluster.transport import TRANSPORTS
 from repro.workloads.rule_scaling import (
     ScalingWorkload,
     WorkloadOutcome,
@@ -44,16 +45,11 @@ from repro.workloads.rule_scaling import (
 from repro.workloads.shard_scaling import build_shard_rules, build_shaped_blocks
 
 __all__ = [
-    "X14_TRANSPORTS",
     "measure_socket_transport",
     "measure_reconnect_resync",
     "run_x14_sweeps",
     "render_x14",
 ]
-
-#: Delta transports compared at every grid point.
-X14_TRANSPORTS = ("pickle", "shm", "tcp")
-
 
 def measure_socket_transport(
     rule_count: int,
@@ -68,16 +64,16 @@ def measure_socket_transport(
     reps: int = 3,
     check_equivalence: bool = True,
 ) -> dict:
-    """One grid point: the same stream through all three transports.
+    """One grid point: the same stream through both transports.
 
     The identical rule pool and stream run through the single-table
     planner, the serial coordinator, and the process coordinator once per
     transport.  Timing follows the X13 discipline (warm-up excluded,
-    min-of-reps per-pass delta-encode cost); the structural counters —
-    ``defs_shipped``, ``worker_round_trips`` vs the coordinator's
-    ``parallel_batches``, the per-encoding delta counts and ``reconnects``
-    — cover the whole run including warm-up, because the trip-protocol
-    facts they pin are exact at any length.
+    min-of-reps per-pass check and delta-encode cost); the structural
+    counters — ``defs_shipped``, ``worker_round_trips`` vs the
+    coordinator's ``parallel_batches``, the delta and row counts and
+    ``reconnects`` — cover the whole run including warm-up, because the
+    trip-protocol facts they pin are exact at any length.
     """
     universe = build_scaling_universe(rule_count)
     rules = build_shard_rules(rule_count, universe, seed=seed + 53)
@@ -110,6 +106,7 @@ def measure_socket_transport(
         for rep in range(reps):
             chunk = measured[rep * blocks : (rep + 1) * blocks]
             before = pool.transport_stats() if pool is not None else {}
+            check_before = outcome.check_seconds
             outcome = workload.run(chunk)
             if pool is not None:
                 after = pool.transport_stats()
@@ -118,6 +115,7 @@ def measure_socket_transport(
                         "delta_encode_ms": after["delta_encode_ms"]
                         - before["delta_encode_ms"],
                         "encode_ms": after["encode_ms"] - before["encode_ms"],
+                        "check_ms": 1e3 * (outcome.check_seconds - check_before),
                     }
                 )
         if pool is not None:
@@ -133,13 +131,16 @@ def measure_socket_transport(
             outcome.transport["min_pass_encode_ms"] = round(
                 min(cost["encode_ms"] for cost in pass_costs), 3
             )
+            outcome.transport["min_pass_check_ms"] = round(
+                min(cost["check_ms"] for cost in pass_costs), 3
+            )
         return workload, outcome
 
     single_workload, single_outcome = run(0, None, None)
     serial_workload, serial_outcome = run(workers, "serial", None)
     process_runs = {
         transport: run(workers, "processes", transport)
-        for transport in X14_TRANSPORTS
+        for transport in TRANSPORTS
     }
     if check_equivalence:
         compared = {"serial": serial_outcome} | {
@@ -173,16 +174,13 @@ def measure_socket_transport(
             "parallel_batches": int(stats.get("parallel_batches", 0)),
             "defs_shipped": int(stats.get("defs_shipped", 0)),
             "reconnects": int(stats.get("reconnects", 0)),
-            "deltas_pickled": int(stats.get("deltas_pickled", 0)),
-            "deltas_shm": int(stats.get("deltas_shm", 0)),
-            "deltas_framed": int(stats.get("deltas_framed", 0)),
-            "frame_rows_inline": int(stats.get("frame_rows_inline", 0)),
-            "frame_rows_fallback": int(stats.get("frame_rows_fallback", 0)),
-            "check_us_per_block": round(outcome.check_us_per_block, 1),
+            "deltas": int(stats.get("deltas", 0)),
+            "rows_inline": int(stats.get("rows_inline", 0)),
+            "rows_fallback": int(stats.get("rows_fallback", 0)),
+            "check_us_per_block": round(
+                1e3 * stats.get("min_pass_check_ms", 0.0) / max(1, blocks), 1
+            ),
         }
-    pickle_encode = rows["pickle"]["delta_encode_us_per_block"]
-    shm_encode = rows["shm"]["delta_encode_us_per_block"]
-    tcp_encode = rows["tcp"]["delta_encode_us_per_block"]
     for workload in (
         single_workload,
         serial_workload,
@@ -199,8 +197,11 @@ def measure_socket_transport(
         "batch_blocks": batch,
         "transports": rows,
         "check_us_per_block_single": round(single_outcome.check_us_per_block, 1),
-        "frame_encode_vs_pickle": round(pickle_encode / max(1e-9, tcp_encode), 2),
-        "frame_encode_vs_shm": round(tcp_encode / max(1e-9, shm_encode), 2),
+        "tcp_vs_pipe_check_ratio": round(
+            rows["tcp"]["check_us_per_block"]
+            / max(1e-9, rows["pipe"]["check_us_per_block"]),
+            2,
+        ),
         "triggerings": sum(single_outcome.triggerings.values()),
     }
 
@@ -278,7 +279,7 @@ def measure_reconnect_resync(
 
 
 def run_x14_sweeps(smoke: bool = False) -> dict:
-    """The X14 grid: three-transport comparison plus the reconnect pin."""
+    """The X14 grid: pipe-vs-tcp comparison plus the reconnect pin."""
     if smoke:
         grid = measure_socket_transport(
             600,
@@ -300,19 +301,18 @@ def run_x14_sweeps(smoke: bool = False) -> dict:
         "description": (
             "Socket shard transport behind the ShardTransport seam.  The "
             "grid reruns the X13 check-heavy stream through the process "
-            "coordinator once per transport (pickle / shm / tcp over "
-            "localhost workers): per-block delta-encode cost of frame rows "
-            "vs ring rows vs snapshot pickling, plus the structural trip "
-            "facts — definitions shipped once per version, one coordinator "
-            "message per consulted worker per trip, each transport's deltas "
-            "riding only its own encoding.  The reconnect section bounces a "
+            "coordinator once per transport (pipe / tcp over localhost "
+            "workers, both shipping row frames): end-to-end check time per "
+            "block of tcp against pipe (min of passes), plus the structural "
+            "trip facts — definitions shipped once per version, one "
+            "coordinator message per consulted worker per trip, every delta "
+            "a row frame.  The reconnect section bounces a "
             "tcp worker mid-run: one absorbed reconnect, definitions "
             "re-shipped, outcomes byte-identical to the uninterrupted run."
         ),
         "host_cpus": os.cpu_count() or 1,
         "headline": {
-            "frame_encode_vs_pickle": grid["frame_encode_vs_pickle"],
-            "frame_encode_vs_shm": grid["frame_encode_vs_shm"],
+            "tcp_vs_pipe_check_ratio": grid["tcp_vs_pipe_check_ratio"],
             "defs_shipped_once": all(
                 row["defs_shipped"] == grid["rules"]
                 for row in grid["transports"].values()
@@ -326,7 +326,7 @@ def run_x14_sweeps(smoke: bool = False) -> dict:
             "note": (
                 "the grid asserts identical triggering decisions, "
                 "priority-order selections and Trigger Support stats across "
-                "the single table, the serial coordinator and all three "
+                "the single table, the serial coordinator and both "
                 "process transports; the reconnect section asserts identical "
                 "triggering counters and consideration sequences against an "
                 "uninterrupted tcp run"
@@ -347,9 +347,9 @@ def render_x14(results: dict) -> str:
             stats["defs_shipped"],
             stats["worker_round_trips"],
             stats["parallel_batches"],
-            stats["deltas_pickled"],
-            stats["deltas_shm"],
-            stats["deltas_framed"],
+            stats["deltas"],
+            stats["rows_inline"],
+            stats["rows_fallback"],
             stats["check_us_per_block"],
         ]
         for transport, stats in grid["transports"].items()
@@ -364,17 +364,16 @@ def render_x14(results: dict) -> str:
                 "defs",
                 "round trips",
                 "batches",
-                "pickled",
-                "shm",
-                "framed",
+                "deltas",
+                "rows inline",
+                "rows fallback",
                 "process chk µs",
             ],
             rows,
             title=(
                 f"X14 — socket transport, {grid['rules']} rules, "
                 f"{grid['workers']} workers "
-                f"(frames vs pickle {grid['frame_encode_vs_pickle']}x, "
-                f"frames vs shm {grid['frame_encode_vs_shm']}x, "
+                f"(tcp vs pipe check {grid['tcp_vs_pipe_check_ratio']}x, "
                 f"host has {results.get('host_cpus', '?')} CPU(s))"
             ),
         )

@@ -1,25 +1,23 @@
-"""Transport + adaptivity workloads: the X13 benchmark (PR 9).
+"""Delta encoding + adaptivity workloads: the X13 benchmark.
 
-PR 5 amortized the process shard mode's *round trips* (micro-batched
-dispatch); X10 showed the residual per-block cost is dominated by **delta
-encoding** — pickling the Event-Base window snapshot once per trip.  PR 9
-attacks that term with the shared-memory row ring
-(``repro/cluster/process_pool.py``): payload-free occurrences cross the
-process boundary as fixed-width rows written once into a
-``multiprocessing.shared_memory`` segment, and workers read trip deltas by
-``(start, count)`` descriptor instead of unpickling a snapshot.  PR 9 also
-closes the loop on the *trip size* itself: the
-:class:`~repro.cluster.streaming.DispatchController` sizes each stream
-drain from the live ``ingest.queue_depth`` / ``trip.dispatch`` signals
-instead of the static ``batch_blocks`` knob.
+X10 amortized the process shard mode's *round trips* (micro-batched
+dispatch); what remains per block on the transport side is **delta
+encoding**.  Every delta is a row frame: payload-free occurrences cross the
+process boundary as fixed-width rows encoded once per EB position
+(:class:`~repro.cluster.transport._RowLog`), and rows that do not fit the
+fixed width ride along as out-of-band snapshot tuples.  The
+:class:`~repro.cluster.streaming.DispatchController` closes the loop on the
+*trip size*: it sizes each stream drain from the live
+``ingest.queue_depth`` / ``trip.dispatch`` signals instead of the static
+``batch_blocks`` knob.
 
 The X13 benchmark (``benchmarks/bench_x13_transport_adaptivity.py`` and
 ``chimera-events bench x13``) measures both halves:
 
-* **transport** — the X10 check-heavy grid run single-table, serial, and
-  processes x {pickle, shm}; the headline is the per-block *delta-encode*
-  cost (snapshot pickling vs row encoding), with a payload-bearing arm
-  exercising the per-row fallback path;
+* **delta encoding** — the X10 check-heavy grid run single-table, serial,
+  and on process workers; the figures are the per-block delta-encode cost
+  and the inline / fallback row counts, with a payload-bearing arm driving
+  every row through the fallback path;
 * **adaptivity** — a bursty stream (idle gaps, then a deep backlog, then
   idle again) through ``StreamIngestor`` arms static-1 / static-8 /
   adaptive: the controller must keep per-block trips while idle (latency
@@ -27,10 +25,10 @@ The X13 benchmark (``benchmarks/bench_x13_transport_adaptivity.py`` and
   static-8) and shrink back to 1 when the burst drains.
 
 Every grid point asserts identical triggering decisions, priority-order
-selections and Trigger Support stats across transports and execution modes
-(and, for the bursty stream, pins every arm against an unsharded replay of
-its realized trip partition) — the differential harnesses in
-``tests/cluster/`` pin the same properties per-rule and per-counter.
+selections and Trigger Support stats across execution modes (and, for the
+bursty stream, pins every arm against an unsharded replay of its realized
+trip partition) — the differential harnesses in ``tests/cluster/`` pin the
+same properties per-rule and per-counter.
 """
 
 from __future__ import annotations
@@ -56,15 +54,11 @@ from repro.workloads.rule_scaling import (
 from repro.workloads.shard_scaling import build_shard_rules, build_shaped_blocks
 
 __all__ = [
-    "X13_TRANSPORTS",
     "measure_transport_encoding",
     "measure_bursty_adaptivity",
     "run_x13_sweeps",
     "render_x13",
 ]
-
-#: Delta transports compared at every grid point.
-X13_TRANSPORTS = ("pickle", "shm")
 
 #: Stream-ingestor arms of the bursty comparison.
 X13_ARMS = ("static_1", "static_8", "adaptive")
@@ -75,8 +69,8 @@ def _with_payloads(
 ) -> list[list[EventOccurrence]]:
     """The same stream with a small payload on every occurrence.
 
-    Payload-bearing rows cannot use the fixed-width ring encoding, so this
-    arm drives the shm transport's per-row pickled fallback end to end.
+    Payload-bearing rows cannot use the fixed-width row encoding, so this
+    arm drives the per-row out-of-band fallback end to end.
     """
     return [
         [
@@ -107,14 +101,13 @@ def measure_transport_encoding(
     reps: int = 3,
     check_equivalence: bool = True,
 ) -> dict:
-    """One grid point: the same stream through every transport (and mode).
+    """One grid point: the same stream single-table, serial and on workers.
 
     The identical rule pool and stream run through the single-table planner,
-    the serial coordinator, and the process coordinator once per transport;
-    the measured phase excludes the warm-up (which ships every rule
-    definition once).  The headline per-transport number is the *delta*
-    encode cost — snapshot pickling (pickle) vs row encoding (shm) — which
-    both transports account into ``delta_encode_ms``.
+    the serial coordinator, and the process coordinator over the default
+    transport; the measured phase excludes the warm-up (which ships every
+    rule definition once).  The headline number is the process run's
+    per-block *delta* encode cost (``delta_encode_ms``).
 
     The encode cost of one ``blocks``-block pass totals well under a
     millisecond, so a single scheduler preemption on a shared host can
@@ -138,13 +131,9 @@ def measure_transport_encoding(
         stream = _with_payloads(stream)
     measured = stream[warmup_blocks:]
 
-    def run(shards: int, shard_mode: str | None, transport: str | None):
+    def run(shards: int, shard_mode: str | None):
         workload = ScalingWorkload(
-            rules,
-            shards=shards,
-            shard_mode=shard_mode,
-            batch_blocks=batch,
-            transport=transport,
+            rules, shards=shards, shard_mode=shard_mode, batch_blocks=batch
         )
         for start in range(0, warmup_blocks, batch):
             workload.feed_trip(stream[start : min(start + batch, warmup_blocks)])
@@ -184,19 +173,14 @@ def measure_transport_encoding(
             outcome.transport["min_pass_encode_ms"] = round(
                 min(cost["encode_ms"] for cost in pass_costs), 3
             )
-        return workload, outcome
+        workload.close()
+        return outcome
 
-    single_workload, single_outcome = run(0, None, None)
-    serial_workload, serial_outcome = run(workers, "serial", None)
-    process_runs = {
-        transport: run(workers, "processes", transport)
-        for transport in X13_TRANSPORTS
-    }
+    single_outcome = run(0, None)
+    serial_outcome = run(workers, "serial")
+    process_outcome = run(workers, "processes")
     if check_equivalence:
-        compared = {"serial": serial_outcome} | {
-            f"processes/{transport}": outcome
-            for transport, (_, outcome) in process_runs.items()
-        }
+        compared = {"serial": serial_outcome, "processes": process_outcome}
         for label, outcome in compared.items():
             assert outcome.triggerings == single_outcome.triggerings, (
                 f"{label} made different triggering decisions"
@@ -209,33 +193,7 @@ def measure_transport_encoding(
             )
 
     measured_blocks = single_outcome.blocks
-    rows = {}
-    for transport, (_, outcome) in process_runs.items():
-        stats = getattr(outcome, "transport", {})
-        rows[transport] = {
-            "delta_encode_us_per_block": round(
-                1e3 * stats.get("min_pass_delta_encode_ms", 0.0) / max(1, blocks), 2
-            ),
-            "encode_us_per_block": round(
-                1e3 * stats.get("min_pass_encode_ms", 0.0) / max(1, blocks), 1
-            ),
-            "bytes_shipped_per_block": round(
-                stats.get("bytes_shipped", 0) / max(1, measured_blocks), 1
-            ),
-            "deltas_shm": int(stats.get("deltas_shm", 0)),
-            "deltas_pickled": int(stats.get("deltas_pickled", 0)),
-            "shm_rows_inline": int(stats.get("shm_rows_inline", 0)),
-            "shm_rows_fallback": int(stats.get("shm_rows_fallback", 0)),
-            "check_us_per_block": round(outcome.check_us_per_block, 1),
-        }
-    pickle_encode = rows["pickle"]["delta_encode_us_per_block"]
-    shm_encode = rows["shm"]["delta_encode_us_per_block"]
-    for workload in (
-        single_workload,
-        serial_workload,
-        *(workload for workload, _ in process_runs.values()),
-    ):
-        workload.close()
+    stats = process_outcome.transport
     return {
         "rules": rule_count,
         "workers": workers,
@@ -245,10 +203,21 @@ def measure_transport_encoding(
         "events_per_block": events_per_block,
         "batch_blocks": batch,
         "payloads": payloads,
-        "transports": rows,
+        "delta_encode_us_per_block": round(
+            1e3 * stats["min_pass_delta_encode_ms"] / max(1, blocks), 2
+        ),
+        "encode_us_per_block": round(
+            1e3 * stats["min_pass_encode_ms"] / max(1, blocks), 1
+        ),
+        "bytes_shipped_per_block": round(
+            stats["bytes_shipped"] / max(1, measured_blocks), 1
+        ),
+        "deltas": int(stats["deltas"]),
+        "rows_inline": int(stats["rows_inline"]),
+        "rows_fallback": int(stats["rows_fallback"]),
         "check_us_per_block_single": round(single_outcome.check_us_per_block, 1),
         "check_us_per_block_serial": round(serial_outcome.check_us_per_block, 1),
-        "delta_encode_speedup": round(pickle_encode / max(1e-9, shm_encode), 2),
+        "check_us_per_block_processes": round(process_outcome.check_us_per_block, 1),
         "triggerings": sum(single_outcome.triggerings.values()),
     }
 
@@ -321,7 +290,7 @@ def measure_bursty_adaptivity(
     events_per_block: int = 24,
     max_batch_blocks: int = 8,
     max_pending: int = 64,
-    transport: str = "shm",
+    transport: str = "pipe",
     shard_mode: str = "processes",
     seed: int = 19,
     check_equivalence: bool = True,
@@ -475,7 +444,7 @@ def measure_bursty_adaptivity(
 
 
 def run_x13_sweeps(smoke: bool = False) -> dict:
-    """The X13 grid: transport comparison plus the bursty-adaptivity arms."""
+    """The X13 grid: delta encoding plus the bursty-adaptivity arms."""
     if smoke:
         transport_grid = [
             measure_transport_encoding(
@@ -508,21 +477,20 @@ def run_x13_sweeps(smoke: bool = False) -> dict:
     return {
         "benchmark": "x13_transport_adaptivity",
         "description": (
-            "Shared-memory delta transport + adaptive dispatch sizing.  The "
-            "transport grid reruns the X10 check-heavy stream through the "
-            "process coordinator once per transport: the headline is the "
-            "per-block delta-encode cost, snapshot pickling vs shared-memory "
-            "row encoding (a payload-bearing arm drives the per-row "
-            "fallback).  The adaptivity arms run a bursty stream through "
-            "static-1 / static-8 / adaptive ingestors: the controller must "
-            "hold per-block trips while idle, widen under backlog, and "
-            "shrink back when the burst drains.  Every grid point asserts "
-            "identical triggering decisions, selections and stats across "
-            "transports, modes and arms."
+            "Row-frame delta encoding + adaptive dispatch sizing.  The "
+            "encoding grid reruns the X10 check-heavy stream through the "
+            "process coordinator: per-block delta-encode cost and inline / "
+            "fallback row counts (a payload-bearing arm drives every row "
+            "through the out-of-band fallback).  The adaptivity arms run a "
+            "bursty stream through static-1 / static-8 / adaptive "
+            "ingestors: the controller must hold per-block trips while "
+            "idle, widen under backlog, and shrink back when the burst "
+            "drains.  Every grid point asserts identical triggering "
+            "decisions, selections and stats across modes and arms."
         ),
         "host_cpus": host_cpus,
         "headline": {
-            "delta_encode_speedup": payload_free["delta_encode_speedup"],
+            "delta_encode_us_per_block": payload_free["delta_encode_us_per_block"],
             "idle_latency_ratio": adaptivity["idle_latency_ratio"],
             "backlog_throughput_ratio": adaptivity["backlog_throughput_ratio"],
             "adaptive_widened": adaptivity["arms"]["adaptive"]["widened"],
@@ -533,10 +501,10 @@ def run_x13_sweeps(smoke: bool = False) -> dict:
         "equivalence": {
             "checked": True,
             "note": (
-                "each transport grid point asserts identical triggering "
+                "each encoding grid point asserts identical triggering "
                 "decisions, priority-order selections and Trigger Support "
                 "stats across the single table, the serial coordinator and "
-                "both process transports; each adaptivity arm asserts "
+                "the process workers; each adaptivity arm asserts "
                 "identical triggering counters, consideration sequences and "
                 "stats against an unsharded replay of its realized trip "
                 "partition"
@@ -547,45 +515,39 @@ def run_x13_sweeps(smoke: bool = False) -> dict:
 
 def render_x13(results: dict) -> str:
     """Human-readable tables for an X13 result dict."""
-    sections = []
-    for grid_point in results["transport"]:
-        rows = [
+    grid = results["transport"]
+    sections = [
+        render_table(
             [
-                transport,
-                stats["delta_encode_us_per_block"],
-                stats["encode_us_per_block"],
-                stats["bytes_shipped_per_block"],
-                stats["deltas_shm"],
-                stats["deltas_pickled"],
-                stats["shm_rows_inline"],
-                stats["shm_rows_fallback"],
-                stats["check_us_per_block"],
-            ]
-            for transport, stats in grid_point["transports"].items()
-        ]
-        flavor = "payload-bearing" if grid_point["payloads"] else "payload-free"
-        sections.append(
-            render_table(
+                "rows",
+                "delta enc µs/blk",
+                "encode µs/blk",
+                "bytes/blk",
+                "deltas",
+                "rows inline",
+                "rows fallback",
+                "process chk µs",
+            ],
+            [
                 [
-                    "transport",
-                    "delta enc µs/blk",
-                    "encode µs/blk",
-                    "bytes/blk",
-                    "shm deltas",
-                    "pickled",
-                    "rows inline",
-                    "rows fallback",
-                    "process chk µs",
-                ],
-                rows,
-                title=(
-                    f"X13 — delta transport, {grid_point['rules']} rules, "
-                    f"{grid_point['workers']} workers, {flavor} "
-                    f"(speedup {grid_point['delta_encode_speedup']}x, "
-                    f"host has {results.get('host_cpus', '?')} CPU(s))"
-                ),
-            )
+                    "payload-bearing" if point["payloads"] else "payload-free",
+                    point["delta_encode_us_per_block"],
+                    point["encode_us_per_block"],
+                    point["bytes_shipped_per_block"],
+                    point["deltas"],
+                    point["rows_inline"],
+                    point["rows_fallback"],
+                    point["check_us_per_block_processes"],
+                ]
+                for point in grid
+            ],
+            title=(
+                f"X13 — row-frame delta encoding, {grid[0]['rules']} rules, "
+                f"{grid[0]['workers']} workers "
+                f"(host has {results.get('host_cpus', '?')} CPU(s))"
+            ),
         )
+    ]
     adaptivity = results["adaptivity"]
     rows = [
         [

@@ -12,20 +12,18 @@ wrong out of process:
 * a dead worker poisons the pool: the failing call raises
   ``ShardWorkerError`` and every subsequent call fails loudly instead of
   silently desyncing;
-* the shared-memory transport inherits the same contracts: a worker death
-  with the row ring attached leaks no segment past ``close()``, and a
-  corrupted ring header surfaces as a worker-side ``SnapshotError`` that
-  poisons the pool instead of rebuilding a wrong mirror.
+* a corrupt row frame (its byte length disagrees with its row count)
+  surfaces as a worker-side ``SnapshotError`` that poisons the pool instead
+  of rebuilding a wrong mirror, over either transport.
 """
 
 from __future__ import annotations
-
-from multiprocessing import shared_memory
 
 import pytest
 
 from repro.cluster.coordinator import ShardCoordinator
 from repro.cluster.sharding import ShardedRuleTable
+from repro.cluster.transport import TRANSPORTS, _RowLog
 from repro.core.parser import parse_expression
 from repro.errors import ShardWorkerError, SnapshotError
 from repro.events.event import EventType, Operation
@@ -135,51 +133,25 @@ def test_dead_worker_poisons_the_pool():
         support.close()
 
 
-def test_dead_worker_with_shm_ring_leaks_no_segment():
-    """Worker death mid-trip must not leak the shared-memory ring."""
-    table, event_base, handler, support = build_support(transport="shm")
-    ring_name = None
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_truncated_row_frame_poisons_the_pool_loudly(monkeypatch, transport):
+    """A row frame whose bytes disagree with its row count is refused."""
+    table, event_base, handler, support = build_support(transport=transport)
     try:
         assert feed_block(event_base, handler, support, 1)
-        pool = support.process_pool
-        assert pool is not None
-        ring = pool._ring
-        assert ring is not None  # the shm transport built its ring lazily
-        ring_name = ring.name
-        # The segment is live and attachable while the pool runs.
-        probe = shared_memory.SharedMemory(name=ring_name)
-        probe.close()
+        assert support.process_pool is not None
+        original = _RowLog.delta
 
-        for handle in pool._workers:
-            handle.process.kill()
-            handle.process.join(timeout=2.0)
+        def truncated(self, start, shipped_types):
+            start, count, rows, fallbacks, new_types = original(
+                self, start, shipped_types
+            )
+            return start, count, rows[:-1], fallbacks, new_types
+
+        monkeypatch.setattr(_RowLog, "delta", truncated)
         event_base.record(CREATE_ALPHA, oid="alpha#2", timestamp=2)
         batch = handler.flush_block()
-        with pytest.raises(ShardWorkerError):
-            support.check_after_block(batch, 2, 0, type_signature=batch.type_signature)
-    finally:
-        support.close()
-    # close() unlinked the ring even though the pool died broken: attaching
-    # by name must fail — nothing stays behind in /dev/shm.
-    assert ring_name is not None
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=ring_name)
-
-
-def test_corrupted_ring_header_poisons_the_pool_loudly():
-    """A clobbered ring header is codec divergence, not a wrong mirror."""
-    table, event_base, handler, support = build_support(transport="shm")
-    try:
-        assert feed_block(event_base, handler, support, 1)
-        pool = support.process_pool
-        assert pool is not None and pool._ring is not None
-        # Clobber the magic word: every subsequent worker-side read must
-        # refuse to decode.
-        pool._ring.shm.buf[0:4] = b"\x00\x00\x00\x00"
-
-        event_base.record(CREATE_ALPHA, oid="alpha#2", timestamp=2)
-        batch = handler.flush_block()
-        with pytest.raises(SnapshotError, match="ring header is corrupt") as excinfo:
+        with pytest.raises(SnapshotError, match="row frame is corrupt") as excinfo:
             support.check_after_block(batch, 2, 0, type_signature=batch.type_signature)
         # The worker traceback rides along, exactly like other worker errors.
         assert isinstance(excinfo.value.__cause__, ShardWorkerError)

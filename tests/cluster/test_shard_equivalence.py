@@ -56,9 +56,8 @@ def run_scenario(
     and idle gaps, still with churn at trip boundaries.
     ``use_compiled_checks`` selects the compiled exact-check closures
     (``None`` defers to the ambient ``$CHIMERA_COMPILED_CHECKS`` default).
-    ``transport`` selects the process mode's delta transport (pickled
-    snapshots or the shared-memory row ring; ``None`` defers to
-    ``$CHIMERA_TRANSPORT``).
+    ``transport`` selects the process mode's worker transport (``pipe`` or
+    ``tcp``; ``None`` defers to ``$CHIMERA_TRANSPORT``).
     ``metric_prefixes`` filters which snapshot counters of the PR-8 metrics
     registry land in the returned ``"metrics"`` key — the default pins the
     deterministic ``trigger.*`` counters; mode-dependent families

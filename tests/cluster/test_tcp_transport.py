@@ -23,7 +23,6 @@ the pipe pool's contracts:
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
 import socket
 import threading
@@ -32,11 +31,7 @@ import time
 import pytest
 
 from repro.cli import main as cli_main
-from repro.cluster.net import (
-    SocketFrameConnection,
-    TcpTransport,
-    _read_frame,
-)
+from repro.cluster.net import SocketFrameConnection, TcpTransport, run_worker
 from repro.cluster.transport import WorkerConfig
 from repro.errors import ShardWorkerError, SnapshotError
 
@@ -88,20 +83,23 @@ def test_socket_frame_connection_peer_close_is_eof():
         right.close()
 
 
-def test_async_read_frame_rejects_corrupt_header():
-    async def scenario():
-        reader = asyncio.StreamReader()
-        reader.feed_data(b"NOPE\x04\x00\x00\x00ruin")
-        reader.feed_eof()
-        await _read_frame(reader)
-
-    with pytest.raises(SnapshotError, match="socket frame header is corrupt"):
-        asyncio.run(scenario())
-
-
 # ---------------------------------------------------------------------------
 # Pool semantics over sockets: mid-trip death, reconnect re-sync, corruption
 # ---------------------------------------------------------------------------
+
+
+def test_every_coordinator_channel_disables_nagle():
+    """Frames must not wait for the worker's delayed ACK (TCP_NODELAY set)."""
+    table, event_base, handler, support = build_support(transport="tcp")
+    try:
+        assert feed_block(event_base, handler, support, 1)
+        pool = support.process_pool
+        assert pool is not None and pool.transport == "tcp"
+        for handle in pool._workers:
+            sock = handle.connection.sock
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+    finally:
+        support.close()
 
 
 def test_killed_tcp_worker_mid_trip_poisons_pool():
@@ -177,16 +175,11 @@ def test_corrupt_frame_on_the_wire_poisons_pool_loudly():
         pool = support.process_pool
         # Target the worker the rules home to, so the next trip consults it.
         handle = next(h for h in pool._workers if h.shipped_defs)
-        channel = handle.connection
-
-        async def inject_garbage():
-            channel._writer.write(b"JUNKJUNKJUNKJUNK")
-            await channel._writer.drain()
-
-        # Desync the worker's inbound byte stream: its next read sees a bad
-        # magic, raises SnapshotError and the process dies — the coordinator
-        # must surface that as a loud pool failure, never a wrong mirror.
-        asyncio.run_coroutine_threadsafe(inject_garbage(), channel._loop).result(5)
+        # Desync the worker's inbound byte stream through the coordinator
+        # channel's socket: its next read sees a bad magic, raises
+        # SnapshotError and the process dies — the coordinator must surface
+        # that as a loud pool failure, never a wrong mirror.
+        handle.connection.sock.sendall(b"JUNKJUNKJUNKJUNK")
         deadline = time.monotonic() + 10.0
         while handle.process.is_alive() and time.monotonic() < deadline:
             time.sleep(0.05)
@@ -261,21 +254,30 @@ def test_external_cli_workers_join_a_no_spawn_pool():
         thread.join(timeout=5.0)
 
 
+def _launch_no_spawn(transport: TcpTransport, workers: int):
+    """Run ``launch()`` on a thread and wait until the token is published."""
+    launch_error: list[BaseException] = []
+
+    def launch():
+        try:
+            transport.launch(workers, WorkerConfig("logical", False, False))
+        except BaseException as exc:  # surfaced after join
+            launch_error.append(exc)
+
+    thread = threading.Thread(target=launch, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 10.0
+    while transport.token is None and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return thread, launch_error
+
+
 def test_worker_with_bad_token_is_rejected():
     transport = TcpTransport(spawn_workers=False, timeout=30.0)
-    thread = threading.Thread(
-        target=lambda: transport.launch(1, WorkerConfig("logical", False, False)),
-        daemon=True,
-    )
-    thread.start()
+    thread, _ = _launch_no_spawn(transport, 1)
     try:
-        deadline = time.monotonic() + 10.0
-        while transport.token is None and time.monotonic() < deadline:
-            time.sleep(0.02)
-        # endpoint.start() runs after the no-spawn banner; wait for the
-        # listener to accept before handshaking.
-        from repro.cluster.net import run_worker
-
+        # The listener is bound before the token is published, so the
+        # handshake can start right away.
         with pytest.raises(ShardWorkerError, match="rejected"):
             run_worker(
                 transport.host,
@@ -287,3 +289,15 @@ def test_worker_with_bad_token_is_rejected():
     finally:
         transport.shutdown()
         thread.join(timeout=5.0)
+
+
+def test_shutdown_ends_a_launch_waiting_for_workers_promptly():
+    transport = TcpTransport(spawn_workers=False, timeout=30.0)
+    thread, launch_error = _launch_no_spawn(transport, 2)
+    started = time.monotonic()
+    transport.shutdown()
+    thread.join(timeout=5.0)
+    assert not thread.is_alive(), "launch kept waiting after shutdown()"
+    assert time.monotonic() - started < 2.0
+    assert launch_error and isinstance(launch_error[0], ShardWorkerError)
+    assert "shut down" in str(launch_error[0])

@@ -1,15 +1,13 @@
-"""The shared-memory row codec: fixed-width wire format of occurrence rows.
+"""The row codec: fixed-width wire format of occurrence rows.
 
-Property tests pin the contract the shm transport rests on: every row that
-:class:`SnapshotRowCodec` encodes inline decodes to the *exact*
-``EventOccurrence.snapshot()`` tuple the pickle transport ships, so both
-transports rebuild byte-identical worker mirrors.  Rows the codec cannot
-inline (payloads, exotic OIDs, out-of-range integers) must be classified as
-fallbacks deterministically — a placeholder row that decodes to ``None`` —
-and corrupted or diverged rows must raise :class:`SnapshotError`, never
-rebuild a wrong mirror.  A ring-level test pins the synchronous
-unpicklable-payload failure the fallback path inherits from the pickle
-transport.
+Property tests pin the contract the row-frame deltas rest on: every row
+that :class:`SnapshotRowCodec` encodes inline decodes to the *exact*
+``EventOccurrence.snapshot()`` tuple, so workers rebuild byte-identical
+mirrors.  Rows the codec cannot inline (payloads, exotic OIDs, out-of-range
+integers) must be classified as fallbacks deterministically — a placeholder
+row that decodes to ``None`` — and corrupted or diverged rows must raise
+:class:`SnapshotError`, never rebuild a wrong mirror.  A row-log test pins
+the synchronous unpicklable-payload failure of the fallback path.
 """
 
 from __future__ import annotations
@@ -84,7 +82,7 @@ def encode_batch(
 
 
 def test_round_trip_matches_pickle_path_property():
-    """Inline rows decode to the exact tuples the pickle transport ships."""
+    """Inline rows decode to the exact ``EventOccurrence.snapshot()`` tuples."""
     for seed in range(30):
         rng = random.Random(seed)
         occurrences = [
@@ -198,6 +196,25 @@ def test_type_table_grows_incrementally_and_ships_as_prefix_slices():
     assert len(encoder.type_snapshots) == len(UNIVERSE)
 
 
+def test_decoded_string_oids_share_one_object():
+    """Equal string OIDs decode to one object, as the calculus' dicts want."""
+    encoder = SnapshotRowCodec()
+    decoder = SnapshotRowCodec()
+    tick = EventType(Operation.RAISE, "tick")
+    buffer = bytearray(2 * ROW_WIDTH)
+    for index in range(2):
+        oid = "".join(["stock", "#", str(7)])  # a fresh str object each time
+        occurrence = EventOccurrence(
+            eid=index + 1, event_type=tick, oid=oid, timestamp=index + 1
+        )
+        assert encoder.encode_into(buffer, index * ROW_WIDTH, occurrence)
+    decoder.extend_types(encoder.type_snapshots)
+    first = decoder.decode_from(buffer, 0)
+    second = decoder.decode_from(buffer, ROW_WIDTH)
+    assert first[2] == "stock#7"
+    assert first[2] is second[2]
+
+
 def test_unknown_oid_kind_raises_snapshot_error():
     buffer = bytearray(ROW_WIDTH)
     struct.pack_into("<qqIBB26s", buffer, 0, 1, 1, 0, 7, 0, b"")  # kind 7
@@ -221,8 +238,8 @@ def test_unshipped_type_index_raises_snapshot_error():
 
 
 def test_ring_fallback_inherits_unpicklable_payload_guard():
-    """The shm ring names the offending eid synchronously, like the pickle path."""
-    from repro.cluster.process_pool import _destroy_ring, _SnapshotRing
+    """The row log names the offending eid synchronously, before any send."""
+    from repro.cluster.transport import _RowLog
     from repro.events.event_base import EventBase
 
     event_base = EventBase()
@@ -233,14 +250,11 @@ def test_ring_fallback_inherits_unpicklable_payload_guard():
         timestamp=2,
         payload={"callback": lambda: None},  # unpicklable user payload
     )
-    ring = _SnapshotRing(16)
-    try:
-        with pytest.raises(SnapshotError) as excinfo:
-            ring.encode_through(event_base, len(event_base.occurrences))
-        message = str(excinfo.value)
-        assert "picklable" in message
-        assert "eid=2" in message  # names the offending occurrence
-        # The picklable prefix was still encoded inline.
-        assert ring.rows_inline == 1
-    finally:
-        _destroy_ring(ring.shm)
+    log = _RowLog()
+    with pytest.raises(SnapshotError) as excinfo:
+        log.encode_through(event_base, len(event_base.occurrences))
+    message = str(excinfo.value)
+    assert "picklable" in message
+    assert "eid=2" in message  # names the offending occurrence
+    # The picklable prefix was still encoded inline.
+    assert log.rows_inline == 1
