@@ -16,7 +16,7 @@ check-heavy stream and shows:
   the batch grows;
 * **behavioral invisibility** — every batch size asserts identical
   triggering decisions, selections and Trigger Support stats across the
-  single table and the serial / threads / processes coordinator modes
+  single table and the serial / processes coordinator modes
   (``tests/cluster/test_mode_equivalence.py`` pins the same property per
   rule counter for batch sizes 1–8).
 
@@ -84,8 +84,8 @@ def main(argv: list[str] | None = None) -> None:
 
 def test_x10_every_mode_identical_at_every_batch_size():
     # measure_dispatch_amortization asserts triggering + selection + stats
-    # equivalence itself, per batch size, across serial / threads /
-    # processes and the single table.
+    # equivalence itself, per batch size, across serial / processes and the
+    # single table.
     measure_dispatch_amortization(
         400, workers=2, blocks=12, warmup_blocks=2, batch_sizes=(1, 2, 4)
     )

@@ -15,8 +15,8 @@ per rule through one ``check_trip`` pass.  This bench isolates what that buys:
   compiled checks off vs on, unsharded and across the coordinator modes;
 * **behavioral invisibility** — every grid point asserts identical triggering
   decisions, priority-order selections and Trigger Support stats, and the
-  sweep section replays compiled off/on x unsharded/serial/threads/processes
-  x batch sizes 1-8 against the interpreted unsharded reference.
+  sweep section replays compiled off/on x unsharded/serial/processes x batch
+  sizes 1-8 against the interpreted unsharded reference.
 
 Run as a script to execute the full sweep and write machine-readable results
 to ``BENCH_PR6.json`` at the repo root::
@@ -93,11 +93,11 @@ def main(argv: list[str] | None = None) -> None:
 def test_x11_compiled_identical_across_modes_and_batch_sizes():
     # measure_compiled_sweep asserts triggering + selection + stats
     # byte-identity itself, per batch size, for compiled off/on across
-    # unsharded / serial / threads / processes.
+    # unsharded / serial / processes.
     result = measure_compiled_sweep(
         rule_count=120, blocks=8, batch_sizes=(1, 3, 8), workers=2
     )
-    assert result["identical"] and result["runs"] >= 3 * 8
+    assert result["identical"] and result["runs"] >= 3 * 6
 
 
 def test_x11_process_grid_point_equivalent_with_compiled_workers():

@@ -1,7 +1,7 @@
 """X12 — observability overhead: the metrics layer must stay ≤3% end to end.
 
 PR 8 threads one MetricsRegistry through the whole pipeline — pipeline-phase
-histograms (trip.plan/dispatch/check/apply, block.check, oodb.commit), the
+histograms (trip.plan/dispatch/check/apply, oodb.commit), the
 ingest queue gauge, per-shard candidate counters, and worker-side registries
 shipped back as compact deltas on trip replies.  The design contract is that
 none of it is allowed to show up in the timings: a disabled registry hands

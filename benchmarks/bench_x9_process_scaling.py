@@ -85,8 +85,7 @@ def main(argv: list[str] | None = None) -> None:
 
 def test_x9_every_mode_behaviorally_identical():
     # measure_process_scaling asserts triggering + selection + stats
-    # equivalence itself, across serial / threads / processes and the
-    # single table.
+    # equivalence itself, across serial / processes and the single table.
     measure_process_scaling(
         400, workers=2, blocks=8, warmup_blocks=2, planning_repetitions=2
     )

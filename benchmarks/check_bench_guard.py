@@ -184,7 +184,8 @@ def check_x11(
         failures,
     )
     _check(
-        len(sweep.get("batch_sizes", [])) >= 4 and len(sweep.get("modes", [])) == 3,
+        len(sweep.get("batch_sizes", [])) >= 4
+        and set(sweep.get("modes", [])) == {"serial", "processes"},
         "sweep covered every coordinator mode at multiple batch sizes",
         failures,
     )

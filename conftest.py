@@ -5,14 +5,11 @@ the package, which makes every :class:`repro.oodb.database.ChimeraDatabase`
 construct a :class:`repro.cluster.sharding.ShardedRuleTable` and a
 :class:`repro.cluster.coordinator.ShardCoordinator` by default — the whole
 suite then exercises the sharded planner (CI runs it with ``--shards 4``
-alongside the plain run).  ``--shard-mode serial|threads|processes`` exports
+alongside the plain run).  ``--shard-mode serial|processes`` exports
 ``CHIMERA_SHARD_MODE`` the same way, so ``--shards 4 --shard-mode processes``
-runs every database's shard checks on the process worker pool.
-``--compiled-checks`` exports ``CHIMERA_COMPILED_CHECKS=1``, running every
-exact triggering check through the compiled closures of
-:mod:`repro.core.compile` instead of the interpreted evaluator.  Defined here,
-not in ``tests/conftest.py``, because option registration must happen in an
-initial conftest.
+runs every database's shard checks on the process worker pool.  Defined
+here, not in ``tests/conftest.py``, because option registration must happen
+in an initial conftest.
 """
 
 from __future__ import annotations
@@ -29,15 +26,9 @@ def pytest_addoption(parser):
     )
     parser.addoption(
         "--shard-mode",
-        choices=["serial", "threads", "processes"],
+        choices=["serial", "processes"],
         default=None,
         help="shard-check execution mode for every sharded ChimeraDatabase",
-    )
-    parser.addoption(
-        "--compiled-checks",
-        action="store_true",
-        default=False,
-        help="run every exact triggering check through the compiled closures",
     )
 
 
@@ -48,5 +39,3 @@ def pytest_configure(config):
     shard_mode = config.getoption("--shard-mode")
     if shard_mode:
         os.environ["CHIMERA_SHARD_MODE"] = shard_mode
-    if config.getoption("--compiled-checks"):
-        os.environ["CHIMERA_COMPILED_CHECKS"] = "1"

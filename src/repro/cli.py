@@ -25,14 +25,13 @@ Installed as the ``chimera-events`` console script (or run with
     routes blocks through the Event Base's batched ``extend`` fast path,
     ``--full-scan`` disables the subscription index for comparison,
     ``--shards N`` partitions the planning across a shard coordinator,
-    ``--shard-mode serial|threads|processes`` selects how the per-shard
-    checks execute (``processes`` = the multi-core worker pool;
-    ``--parallel-shards`` is the legacy spelling of ``threads``),
+    ``--shard-mode serial|processes`` selects where the exact checks run
+    (``processes`` = the multi-core worker pool),
     ``--plan-cache-size`` overrides the LRU bound of the route/plan caches,
     ``--batch-blocks N`` coalesces N stream blocks per trigger-check
     dispatch trip (the micro-batched worker dispatch of PR 5), and
-    ``--compiled-checks`` evaluates the exact checks through the compiled
-    per-rule closures of PR 6 instead of the interpreted evaluator.
+    ``--no-compiled-checks`` evaluates the exact checks through the
+    interpreted evaluator instead of the compiled per-rule closures.
 ``bench``
     Run a benchmark sweep from the installed package (``x7``, the rule-count
     scaling / bulk-ingestion bench; ``x8``, the shard-scaling /
@@ -156,17 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     workload_parser.add_argument(
         "--shard-mode",
-        choices=["serial", "threads", "processes"],
+        choices=["serial", "processes"],
         default=None,
         help=(
-            "how per-shard checks execute (requires --shards): serial inline, "
-            "a thread pool, or long-lived shard worker processes"
+            "where the exact checks run (requires --shards): serial inline "
+            "or long-lived shard worker processes"
         ),
-    )
-    workload_parser.add_argument(
-        "--parallel-shards",
-        action="store_true",
-        help="legacy alias for --shard-mode threads (requires --shards)",
     )
     workload_parser.add_argument(
         "--plan-cache-size",
@@ -186,10 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     workload_parser.add_argument(
         "--compiled-checks",
         action=argparse.BooleanOptionalAction,
-        default=None,
+        default=True,
         help=(
             "evaluate exact checks through the compiled per-rule closures "
-            "(default: the $CHIMERA_COMPILED_CHECKS ambient setting)"
+            "(default; --no-compiled-checks runs the interpreted evaluator)"
         ),
     )
     workload_parser.add_argument(
@@ -356,8 +350,8 @@ def _command_stock_demo(args: argparse.Namespace) -> int:
 
 
 def _command_workload(args: argparse.Namespace) -> int:
-    if (args.parallel_shards or args.shard_mode) and not args.shards:
-        print("error: --shard-mode/--parallel-shards require --shards", file=sys.stderr)
+    if args.shard_mode and not args.shards:
+        print("error: --shard-mode requires --shards", file=sys.stderr)
         return 2
     if args.plan_cache_size is not None:
         if not args.shards:
@@ -389,8 +383,6 @@ def _command_workload(args: argparse.Namespace) -> int:
     )
 
     shard_mode = args.shard_mode
-    if shard_mode is None and args.parallel_shards:
-        shard_mode = "threads"
     # The registry is always on for the CLI workload: the report/export flags
     # only decide whether its snapshot is *surfaced* (the x12 bench pins the
     # instrumentation overhead under 3%).

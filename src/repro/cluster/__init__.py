@@ -9,9 +9,9 @@ package scales along:
   caches;
 * :mod:`repro.cluster.coordinator` — :class:`ShardCoordinator`, the Trigger
   Support that fans each block's type signature out to the owning shards,
-  runs the per-shard checks in one of three execution modes (inline serial,
-  thread pool over shared zero-copy ``BoundedView`` windows, or the process
-  worker pool) and merges the triggered sets back deterministically;
+  runs the checks in one of two execution modes (inline serial over the one
+  Event Base, or the process worker pool) and applies the decisions back
+  deterministically;
 * :mod:`repro.cluster.process_pool` — :class:`ProcessShardPool`, the
   long-lived worker processes that own their shard's expressions and
   incremental memos plus a mirror Event Base grown from per-block window

@@ -1,15 +1,16 @@
 """Process shard workers: trigger checks that actually use multiple cores.
 
-PR 3 moved shard checks onto a thread pool, but under the GIL that bought
-latency decoupling, not throughput (BENCH_PR3.json: ingestion 0.98x).  This
-module is the out-of-process step the coordinator's evaluate/apply split was
-designed for: N **long-lived worker processes**, each owning its shard's
-sub-table — the triggering event expressions and the per-rule incremental
-:class:`~repro.core.triggering.TriggerMemo`s of the rules dealt to it — plus a
-**mirror Event Base** grown incrementally from per-trip row-frame deltas.
+Under the GIL, a thread pool over the shared Event Base stayed within noise
+of the serial coordinator (BENCH_PR4.json, X9), so trigger checks only use
+more cores out of process.  This module is the step the coordinator's
+evaluate/apply split was designed for: N **long-lived worker processes**,
+each owning its shard's sub-table — the triggering event expressions, their
+compiled checks and the per-rule incremental
+:class:`~repro.core.triggering.TriggerMemo`s of the rules dealt to it — plus
+a **mirror Event Base** grown incrementally from per-trip row-frame deltas.
 
-Per *trip* — one block, or a whole micro-batch of consecutive blocks (PR 5)
-— the coordinator ships each consulted worker one message::
+Per *trip* — one block, or a whole micro-batch of consecutive blocks — the
+coordinator ships each consulted worker one message::
 
     (row frame of the EB slice the worker has not seen,
      new/changed rule definitions, dropped rule names,
@@ -24,17 +25,19 @@ the batched check semantics evaluate each block over the *complete* trip log
 bounded by that block's ``now`` (exactly what the coordinator's serial mode
 sees through its zero-copy views — with one combined delta, cross-block
 time-stamp ties resolve identically in and out of process, and the trip pays
-one delta encode instead of N).  The worker walks the segments in order —
-skipping, in later segments, exactly the rules the per-block path would no
-longer have planned once the earlier decisions applied: rules it already
-found triggered in this trip, and pending-only riders that already saw a
-non-empty window (they would have left the pending-full-check set) — and
-replies with **per-block** decision lists: compact
+one delta encode instead of N).  The worker runs each rule's ordered entries
+through the Trigger Support's one trip kernel
+(:func:`~repro.rules.trigger_support.check_rule_trip`), which skips, in later
+segments, exactly the rules a block's plan would no longer hold once the
+earlier decisions applied: rules already found triggered in this trip, and
+pending-only riders that already saw a non-empty window (they would have
+left the pending-full-check set) — and replies with **per-block** decision
+lists: compact
 :class:`~repro.core.triggering.TriggeringDecision` rows per segment plus its
 local :class:`~repro.core.evaluation.EvaluationStats`.  All writes (counters,
 the triggered flag, heap pushes) stay in the coordinator process, which
 applies the decisions **serially, block by block in definition order** — so
-serial, thread and process modes are behaviorally identical by construction
+the serial and process modes are behaviorally identical by construction
 for every batch size (``tests/cluster/test_mode_equivalence.py`` pins it,
 stats included).
 
@@ -95,13 +98,14 @@ from repro.cluster.transport import (
 )
 from repro.core.compile import compile_check
 from repro.core.evaluation import EvaluationMode, EvaluationStats
-from repro.core.triggering import TriggerMemo, TriggeringDecision, is_triggered
+from repro.core.triggering import TriggerMemo, TriggeringDecision
 from repro.errors import ShardWorkerError, SnapshotError
 from repro.events.clock import Timestamp
 from repro.events.event import EventType
 from repro.events.event_base import EventBase
 from repro.obs.registry import MetricsRegistry
 from repro.rules.rule import RuleState
+from repro.rules.trigger_support import check_rule_trip
 
 __all__ = [
     "ProcessShardPool",
@@ -122,7 +126,7 @@ _PROTOCOL = pickle.HIGHEST_PROTOCOL
 def _worker_main(
     connection,
     mode_value: str,
-    compiled_checks: bool = False,
+    compiled_checks: bool = True,
     metrics_enabled: bool = False,
 ) -> None:
     """One shard worker: mirror EB + per-rule expressions/memos, message loop."""
@@ -190,100 +194,49 @@ def _worker_main(
                 ]
             state_applied = True
             stats = EvaluationStats()
-            replies: list[tuple[int, tuple]] = []
             trips_counter.inc()
-            if compiled_checks:
-                # Rule-major regroup: each rule's trip entries go through one
-                # compiled check_trip call (the trip-local skip flags are
-                # keyed by rule name alone, so per-rule batching is exactly
-                # the segment-major walk below), then the per-segment replies
-                # are rebuilt in the original item order.
-                entries_by_rule: dict[str, list[tuple]] = {}
-                positions_by_rule: dict[str, list[int]] = {}
-                for segment_index, items, now in segments:
-                    for name, window_start, pending_only in items:
-                        entries_by_rule.setdefault(name, []).append(
-                            (window_start, now, pending_only)
-                        )
-                        positions_by_rule.setdefault(name, []).append(segment_index)
-                decided: dict[tuple[int, str], tuple] = {}
-                with check_hist.time():
-                    for name, entries in entries_by_rule.items():
-                        entry = rules[name]
-                        decisions_for_rule = entry[3].check_trip(
-                            mirror, entries, memo=entry[2], stats=stats
-                        )
-                        rules_counter.inc(len(entries))
-                        for segment_index, decision in zip(
-                            positions_by_rule[name], decisions_for_rule
-                        ):
-                            if decision is not None:
-                                decided[(segment_index, name)] = (
-                                    decision.triggered,
-                                    decision.instant,
-                                    decision.ts_value,
-                                    decision.window_size,
-                                    decision.instants_sampled,
-                                )
-                for segment_index, items, _now in segments:
-                    decisions = [
-                        (name, decided[(segment_index, name)])
+            # Rule-major regroup: each rule's trip entries go through one
+            # check_rule_trip call (the trip-local skips key on the rule name
+            # alone, so per-rule batching is exactly the segment-major walk),
+            # then the per-segment replies are rebuilt in item order.
+            by_rule: dict[str, tuple[list[int], list[tuple]]] = {}
+            for segment_index, items, now in segments:
+                for name, window_start, pending_only in items:
+                    entry = by_rule.get(name)
+                    if entry is None:
+                        entry = by_rule[name] = ([], [])
+                    entry[0].append(segment_index)
+                    entry[1].append((window_start, now, pending_only))
+            decided: dict[tuple[int, str], tuple] = {}
+            with check_hist.time():
+                for name, (positions, entries) in by_rule.items():
+                    _order, expression, memo, compiled = rules[name]
+                    decisions = check_rule_trip(
+                        expression, compiled, mirror, entries, mode, memo, stats
+                    )
+                    for segment_index, decision in zip(positions, decisions):
+                        if decision is not None:
+                            rules_counter.inc()
+                            decided[segment_index, name] = (
+                                decision.triggered,
+                                decision.instant,
+                                decision.ts_value,
+                                decision.window_size,
+                                decision.instants_sampled,
+                            )
+            replies = tuple(
+                (
+                    segment_index,
+                    tuple(
+                        (name, decided[segment_index, name])
                         for name, _ws, _po in items
                         if (segment_index, name) in decided
-                    ]
-                    replies.append((segment_index, tuple(decisions)))
-                connection.send_bytes(
-                    pickle.dumps(
-                        ("ok", tuple(replies), stats, registry.drain_delta()),
-                        _PROTOCOL,
-                    )
+                    ),
                 )
-                continue
-            #: Trip-local skips, exactly the rules whose later-segment plans
-            #: would be gone had the earlier decisions applied per-block:
-            #: rules found triggered earlier in this trip, and pending-only
-            #: riders that already saw a non-empty window (they would have
-            #: left the pending-full-check set).
-            tripped: set[str] = set()
-            saw_nonempty: set[str] = set()
-            with check_hist.time():
-                for segment_index, items, now in segments:
-                    decisions = []
-                    for name, window_start, pending_only in items:
-                        if name in tripped or (pending_only and name in saw_nonempty):
-                            continue
-                        entry = rules[name]
-                        decision = is_triggered(
-                            entry[1],
-                            mirror,
-                            window_start,
-                            now,
-                            mode,
-                            stats,
-                            memo=entry[2],
-                        )
-                        rules_counter.inc()
-                        if decision.triggered:
-                            tripped.add(name)
-                        if decision.window_size > 0:
-                            saw_nonempty.add(name)
-                        decisions.append(
-                            (
-                                name,
-                                (
-                                    decision.triggered,
-                                    decision.instant,
-                                    decision.ts_value,
-                                    decision.window_size,
-                                    decision.instants_sampled,
-                                ),
-                            )
-                        )
-                    replies.append((segment_index, tuple(decisions)))
+                for segment_index, items, _now in segments
+            )
             connection.send_bytes(
-                pickle.dumps(
-                    ("ok", tuple(replies), stats, registry.drain_delta()), _PROTOCOL
-                )
+                pickle.dumps(("ok", replies, stats, registry.drain_delta()), _PROTOCOL)
             )
         except Exception as exc:
             # Ship the exception object itself when it pickles, so the
@@ -366,7 +319,7 @@ class ProcessShardPool:
         num_workers: int,
         mode: EvaluationMode = EvaluationMode.LOGICAL,
         start_method: str | None = None,
-        use_compiled_checks: bool = False,
+        use_compiled_checks: bool = True,
         metrics: MetricsRegistry | None = None,
         transport: str | None = None,
     ) -> None:

@@ -61,9 +61,9 @@ DEFAULT_SHARD_ENV_VAR = "CHIMERA_SHARDS"
 #: suite runs its shard checks out of process).
 DEFAULT_SHARD_MODE_ENV_VAR = "CHIMERA_SHARD_MODE"
 
-#: The coordinator's execution modes: inline in shard order, a thread worker
-#: pool, or long-lived process workers (``repro.cluster.process_pool``).
-SHARD_MODES = ("serial", "threads", "processes")
+#: The coordinator's execution modes: inline over the one Event Base, or
+#: long-lived process workers (``repro.cluster.process_pool``).
+SHARD_MODES = ("serial", "processes")
 
 #: Default LRU capacity of the signature route cache and of each shard's
 #: sub-signature plan cache.  Generous — a steady workload re-issues a few

@@ -18,9 +18,6 @@ decides statically:
   baked into the closures (both the logical case analysis and the exact
   algebraic ``unit_step`` arithmetic — the two styles are *not* universally
   value-equal, so each is compiled literally);
-* **the V(E) verdict** — the rule's variation set is derived once at compile
-  time and carried on the compiled object (:attr:`CompiledCheck.variations`),
-  so filter construction and introspection never re-walk the tree;
 * **lift boundaries** — whether an instance-oriented subtree must be lifted
   over affected objects, whether the lift is existential (max) or universal
   (min, instance negation), and the subtree's ``event_types()`` are all
@@ -53,7 +50,6 @@ and the cross-mode differential harnesses).  The only intended difference is
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from typing import Any, Callable, Sequence
 
@@ -70,7 +66,6 @@ from repro.core.expressions import (
     SetNegation,
     SetPrecedence,
 )
-from repro.core.optimization import variation_set
 from repro.core.triggering import TriggeringDecision, TriggerMemo
 from repro.core.ts import unit_step
 from repro.errors import EvaluationError
@@ -78,20 +73,7 @@ from repro.events.clock import Timestamp
 from repro.events.event import EventType
 from repro.events.event_base import EventBase
 
-__all__ = [
-    "DEFAULT_COMPILED_ENV_VAR",
-    "default_compiled_checks",
-    "CompiledCheck",
-    "compile_check",
-]
-
-#: Ambient default for the compiled-check knob: set ``CHIMERA_COMPILED_CHECKS``
-#: to a truthy value (1/true/yes/on) to run every exact check through the
-#: compiled path by default (the test suite's ``--compiled-checks`` option
-#: exports it so the whole suite exercises the compiled evaluator).
-DEFAULT_COMPILED_ENV_VAR = "CHIMERA_COMPILED_CHECKS"
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
+__all__ = ["CompiledCheck", "compile_check"]
 
 #: Neutral lower bound: a window with no start excludes nothing.  Timestamps
 #: are ints, so ``-inf`` compares below every candidate and bisects to 0.
@@ -103,14 +85,6 @@ _SetFn = Callable[[Any, Timestamp], int]
 _InstFn = Callable[[Any, Timestamp, Any], int]
 #: Static per-evaluation cost of a rigid subtree: (node visits, lookups).
 _Cost = "tuple[int, int] | None"
-
-
-def default_compiled_checks() -> bool:
-    """The ambient compiled-check default (``$CHIMERA_COMPILED_CHECKS``)."""
-    value = os.environ.get(DEFAULT_COMPILED_ENV_VAR)
-    if value is None:
-        return False
-    return value.strip().lower() in _TRUTHY
 
 
 class _Compiler:
@@ -563,7 +537,6 @@ class CompiledCheck:
     __slots__ = (
         "expression",
         "mode",
-        "variations",
         "_set_fn",
         "_set_cost",
         "_inst_fn",
@@ -579,9 +552,6 @@ class CompiledCheck:
     ) -> None:
         self.expression = expression
         self.mode = mode
-        # The folded V(E) verdict: derived once here instead of per filter
-        # construction / introspection.
-        self.variations = variation_set(expression)
         compiler = _Compiler(mode)
         set_fn, set_cost = compiler.compile_set(expression)
         self._set_fn = set_fn

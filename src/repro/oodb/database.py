@@ -49,10 +49,9 @@ class ChimeraDatabase:
         max_rule_executions: int = 10_000,
         shards: int | None = None,
         shard_mode: str | None = None,
-        parallel_shards: bool = False,
         plan_cache_size: int | None = None,
         batch_blocks: int | None = None,
-        use_compiled_checks: bool | None = None,
+        use_compiled_checks: bool = True,
         metrics: "MetricsRegistry | None" = None,
         transport: str | None = None,
         adaptive_batch: bool | None = None,
@@ -74,8 +73,8 @@ class ChimeraDatabase:
         # shards=None defers to the ambient default ($CHIMERA_SHARDS — the
         # test suite's --shards option runs everything sharded this way);
         # shards=0 forces the single-table planner.  shard_mode=None likewise
-        # defers to parallel_shards and then $CHIMERA_SHARD_MODE (the test
-        # suite's --shard-mode option), resolved by the engine.
+        # defers to $CHIMERA_SHARD_MODE (the test suite's --shard-mode
+        # option), resolved by the engine.
         if shards is None:
             shards = default_shard_count()
         self.rule_table = (
@@ -93,12 +92,8 @@ class ChimeraDatabase:
             use_static_optimization=use_static_optimization,
             max_rule_executions=max_rule_executions,
             shard_mode=shard_mode,
-            parallel_shards=parallel_shards,
             plan_cache_size=plan_cache_size,
-            # use_compiled_checks=None defers to the ambient default
-            # ($CHIMERA_COMPILED_CHECKS — the test suite's --compiled-checks
-            # option runs everything compiled this way); the Trigger Support
-            # resolves it.
+            # False pins the interpreted evaluator (the reference engine).
             use_compiled_checks=use_compiled_checks,
             # metrics=None lets the engine create its own enabled registry;
             # pass MetricsRegistry(enabled=False) to run uninstrumented.

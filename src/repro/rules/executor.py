@@ -67,21 +67,18 @@ class RuleEngine:
     #: Ignored when ``rule_table`` is already a :class:`ShardedRuleTable` —
     #: its own shard count wins.
     shards: int = 0
-    #: With sharding: how the per-shard checks execute — "serial" (inline,
-    #: deterministic), "threads" (worker threads over the shared EB) or
-    #: "processes" (long-lived shard worker processes with mirror EBs).
-    #: ``None`` defers to ``parallel_shards`` and then the ambient
-    #: ``$CHIMERA_SHARD_MODE`` default.
+    #: With sharding: where the exact checks run — "serial" (inline,
+    #: deterministic) or "processes" (long-lived shard worker processes with
+    #: mirror EBs).  ``None`` defers to the ambient ``$CHIMERA_SHARD_MODE``
+    #: default, then "serial".
     shard_mode: str | None = None
-    #: Legacy PR-3 switch: ``True`` means ``shard_mode="threads"``.
-    parallel_shards: bool = False
     #: LRU cap for the coordinator's route cache and the per-shard plan
     #: caches (None = the generous default in repro.cluster.sharding).
     plan_cache_size: int | None = None
     #: Lower each rule's event expression into specialized closures for the
-    #: exact triggering check (``None`` defers to the ambient
-    #: ``$CHIMERA_COMPILED_CHECKS`` default, off when unset).
-    use_compiled_checks: bool | None = None
+    #: exact triggering check; False runs the interpreted evaluator (the
+    #: reference the closures are pinned byte-identical to).
+    use_compiled_checks: bool = True
     #: The engine's metrics registry — threaded through the Trigger Support /
     #: Shard Coordinator (and from there the process pool), so one
     #: :meth:`metrics_snapshot` covers the whole logical engine.  ``None``
@@ -113,16 +110,11 @@ class RuleEngine:
         if self.metrics is None:
             self.metrics = MetricsRegistry()
         if isinstance(self.rule_table, ShardedRuleTable):
-            shard_mode = self.shard_mode
-            if shard_mode is None:
-                shard_mode = (
-                    "threads" if self.parallel_shards else default_shard_mode()
-                )
             self.trigger_support: TriggerSupport = ShardCoordinator(
                 self.rule_table,
                 self.event_base,
                 use_static_optimization=self.use_static_optimization,
-                shard_mode=shard_mode,
+                shard_mode=self.shard_mode or default_shard_mode(),
                 use_compiled_checks=self.use_compiled_checks,
                 metrics=self.metrics,
                 transport=self.transport,

@@ -125,8 +125,9 @@ class RuleState:
     #: moves) and by the check itself when the rule triggers.
     trigger_memo: TriggerMemo = field(default_factory=TriggerMemo, repr=False)
     #: The rule's event expression lowered into specialized closures (built
-    #: lazily by the Trigger Support when compiled checks are enabled; None on
-    #: the interpreted path).  Holds pre-resolved per-type index handles, so
+    #: by the Trigger Support that evaluates the rule; None on the interpreted
+    #: path and on a process-mode coordinator, whose workers compile their
+    #: own).  Holds pre-resolved per-type index handles, so
     #: it must be invalidated whenever those could go stale — see
     #: :meth:`invalidate_compiled`.
     compiled_check: "CompiledCheck | None" = field(

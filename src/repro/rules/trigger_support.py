@@ -10,18 +10,25 @@ only when the rule is considered).
 The static optimization of §5.1 plugs in here: each rule carries a
 :class:`~repro.core.optimization.RecomputationFilter` built from ``V(E)``, and
 the ``ts`` recomputation is skipped whenever the block's occurrences cannot
-possibly flip the rule's ``ts`` positive.
+possibly flip the rule's ``ts`` positive.  The filter is applied *wholesale*
+through the Rule Table's inverted subscription index: the
+:class:`TriggerPlanner` takes the block's type signature (the set of event
+types it contains) and asks the table which untriggered rules are subscribed
+to any of them, plus the rules whose filter is not applicable yet (window
+never evaluated non-empty — they must be visited on every block).  Planning
+cost therefore scales with the rules *actually subscribed* to the block's
+types, not with the whole table; ``use_subscription_index=False`` keeps the
+full scan (every untriggered rule through its own filter) for benchmarks and
+the routed-vs-scan equivalence tests.
 
-Since PR 2 the filter is applied *wholesale* through the Rule Table's inverted
-subscription index instead of rule by rule: the :class:`TriggerPlanner` takes
-the block's type signature (the set of event types it contains) and asks the
-table which untriggered rules are subscribed to any of them, plus the rules
-whose filter is not applicable yet (window never evaluated non-empty — they
-must be visited on every block).  Per-block planning cost therefore scales
-with the rules *actually subscribed* to the block's types, not with the whole
-table; ``use_subscription_index=False`` keeps the PR-1 full-scan path (visit
-every untriggered rule, apply its filter individually) for benchmarks and the
-routed-vs-scan equivalence tests.
+There is one check path, and a block is a trip of one.  A *trip* is a run of
+consecutive, already-ingested blocks: every block is planned up front, each
+planned rule is evaluated once over its ordered trip entries by the one
+exact-check kernel (:func:`check_rule_trip`: the rule's compiled closures
+when it carries them, the interpreted evaluator otherwise), and the decisions
+are applied afterwards, block by block in definition order.  The shard
+coordinator reuses this path unchanged in its serial mode and ships the same
+trip to its process workers, which run the same kernel.
 """
 
 from __future__ import annotations
@@ -29,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.core.compile import compile_check, default_compiled_checks
+from repro.core.compile import CompiledCheck, compile_check
 from repro.core.evaluation import EvaluationMode, EvaluationStats
 from repro.core.optimization import RecomputationFilter
-from repro.core.triggering import is_triggered
+from repro.core.triggering import TriggeringDecision, is_triggered
 from repro.events.clock import Timestamp
 from repro.events.event import EventOccurrence, EventType
 from repro.events.event_base import EventBase
@@ -41,7 +48,13 @@ from repro.obs.stats import MergeableStats
 from repro.rules.rule import RuleState
 from repro.rules.rule_table import RuleTable
 
-__all__ = ["TriggerSupportStats", "TriggerPlan", "TriggerPlanner", "TriggerSupport"]
+__all__ = [
+    "TriggerSupportStats",
+    "TriggerPlan",
+    "TriggerPlanner",
+    "TriggerSupport",
+    "check_rule_trip",
+]
 
 
 @dataclass
@@ -57,9 +70,9 @@ class TriggerSupportStats(MergeableStats):
     rules_checked: int = 0
     ts_computations: int = 0
     ts_skipped_by_filter: int = 0
-    #: Exact checks that observed an empty window, on *either* path (per-block
-    #: checks and commit-time rechecks share one helper since PR 1, so unlike
-    #: the seed this also counts empty windows seen by recheck_all).
+    #: Exact checks that observed an empty window, block checks and
+    #: commit-time rechecks alike (unlike the seed, this also counts empty
+    #: windows seen by recheck_all).
     ts_skipped_empty_window: int = 0
     rules_triggered: int = 0
     #: Candidate instants actually sampled across all exact checks.  With the
@@ -93,11 +106,9 @@ class TriggerPlan:
     bypassed: int
     #: Names of candidates planned *only* because their filter is not
     #: applicable yet (the pending-full-check riders, not signature-routed).
-    #: The batched dispatch path uses this to reproduce the per-block
-    #: pending-set semantics within a trip: once such a rule has seen a
-    #: non-empty window in an earlier block of the trip, later blocks that
-    #: planned it only as a pending rider skip it — exactly when the
-    #: per-block path would have dropped it from the pending set.
+    #: A trip's later blocks skip such a rule once it saw a non-empty window
+    #: in an earlier block of the trip — exactly when applying the earlier
+    #: decisions first would have dropped it from the pending set.
     pending_only: frozenset[str] = frozenset()
 
 
@@ -142,6 +153,46 @@ class TriggerPlanner:
         )
 
 
+def check_rule_trip(
+    expression,
+    compiled: CompiledCheck | None,
+    event_base: EventBase,
+    entries: Sequence[tuple[Timestamp | None, Timestamp, bool]],
+    mode: EvaluationMode,
+    memo,
+    stats: EvaluationStats,
+) -> list[TriggeringDecision | None]:
+    """The exact check of one rule over its ordered trip entries.
+
+    ``entries`` holds one ``(window start, now, pending-only)`` triple per
+    block of the trip whose plan holds the rule, in block order, over the
+    fully ingested Event Base.  An entry after an in-trip triggering, or a
+    pending-only entry after an in-trip non-empty window, yields ``None``:
+    that block's plan would no longer hold the rule had the earlier blocks'
+    decisions applied first.  ``compiled`` (the rule's
+    :class:`~repro.core.compile.CompiledCheck`, or None) evaluates the whole
+    trip in one pass; otherwise the interpreted evaluator replays it entry by
+    entry — the reference the compiled kernel is pinned byte-identical to.
+    The Trigger Support and the process shard workers both call this.
+    """
+    if compiled is not None:
+        return compiled.check_trip(event_base, entries, memo, stats)
+    decisions: list[TriggeringDecision | None] = []
+    triggered = False
+    saw_nonempty = False
+    for window_start, now, pending_only in entries:
+        if triggered or (pending_only and saw_nonempty):
+            decisions.append(None)
+            continue
+        decision = is_triggered(
+            expression, event_base, window_start, now, mode, stats, memo=memo
+        )
+        triggered = decision.triggered
+        saw_nonempty = saw_nonempty or decision.window_size > 0
+        decisions.append(decision)
+    return decisions
+
+
 class TriggerSupport:
     """Determines newly triggered rules after every execution block."""
 
@@ -152,7 +203,7 @@ class TriggerSupport:
         use_static_optimization: bool = True,
         mode: EvaluationMode = EvaluationMode.LOGICAL,
         use_subscription_index: bool = True,
-        use_compiled_checks: bool | None = None,
+        use_compiled_checks: bool = True,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.rule_table = rule_table
@@ -160,13 +211,9 @@ class TriggerSupport:
         self.use_static_optimization = use_static_optimization
         self.use_subscription_index = use_subscription_index
         self.mode = mode
-        # use_compiled_checks=None defers to the ambient default
-        # ($CHIMERA_COMPILED_CHECKS — the test suite's --compiled-checks
-        # option runs everything compiled this way); False pins the
-        # interpreted evaluator, True the compiled closures.  The two are
-        # byte-identical (tests/core/test_compiled_equivalence.py).
-        if use_compiled_checks is None:
-            use_compiled_checks = default_compiled_checks()
+        # Compiled closures by default; False pins the interpreted evaluator,
+        # the reference the compiled kernel is pinned byte-identical to
+        # (tests/core/test_compiled_equivalence.py).
         self.use_compiled_checks = use_compiled_checks
         self.planner = TriggerPlanner(rule_table)
         self.stats = TriggerSupportStats()
@@ -182,19 +229,26 @@ class TriggerSupport:
         self._plan_hist = self.metrics.histogram("trip.plan")
         self._check_hist = self.metrics.histogram("trip.check")
         self._apply_hist = self.metrics.histogram("trip.apply")
-        self._block_hist = self.metrics.histogram("block.check")
 
     # -- set-up -----------------------------------------------------------
     def prepare_rule(self, state: RuleState) -> None:
         """Build the rule's recomputation filter and compiled check (idempotent)."""
         if state.recomputation_filter is None:
             state.recomputation_filter = RecomputationFilter(state.rule.events)
-        if self.use_compiled_checks:
+        if self._compiles_locally():
             compiled = state.compiled_check
             if compiled is None or compiled.mode is not self.mode:
                 state.compiled_check = compile_check(state.rule.events, self.mode)
 
-    # -- the core check -----------------------------------------------------
+    def _compiles_locally(self) -> bool:
+        """Whether this process evaluates through the rules' compiled checks."""
+        return self.use_compiled_checks
+
+    def _routes_by_index(self) -> bool:
+        """Whether blocks are planned through the subscription index."""
+        return self.use_static_optimization and self.use_subscription_index
+
+    # -- the check ----------------------------------------------------------
     def check_after_block(
         self,
         new_occurrences: Sequence[EventOccurrence],
@@ -202,72 +256,89 @@ class TriggerSupport:
         transaction_start: Timestamp,
         type_signature: frozenset[EventType] | None = None,
     ) -> list[RuleState]:
-        """Update the triggered flag of every untriggered rule; return the new ones.
+        """Check one finished block: a trip of one (see :meth:`check_after_blocks`)."""
+        return self.check_after_blocks(
+            [(new_occurrences, now)], transaction_start, [type_signature]
+        )
 
-        ``new_occurrences`` is the batch produced by the block that just
-        finished; with static optimization enabled it drives the ``V(E)``
-        filter.  ``type_signature`` is the set of event types in the batch —
-        pass it when already known (``BlockIngest`` computes it at ingestion
-        time) so it is never re-derived; it is derived here otherwise.  The
-        triggering window of each rule spans from its last consideration (or
-        the transaction start) to ``now``.
+    def check_after_blocks(
+        self,
+        blocks: Sequence[tuple[Sequence[EventOccurrence], Timestamp]],
+        transaction_start: Timestamp,
+        type_signatures: Sequence[frozenset[EventType] | None] | None = None,
+    ) -> list[RuleState]:
+        """Check a *trip* of consecutive, already-ingested execution blocks.
+
+        ``blocks`` is an ordered sequence of ``(occurrences, now)`` pairs, one
+        per execution block, all of which are already stored in the Event
+        Base.  ``type_signatures`` optionally carries each block's set of
+        event types when the caller already knows it (``BlockIngest``
+        computes it at ingestion time); it is derived otherwise.  Each block
+        keeps its own check — its own signature, plan and ``now`` — with these
+        semantics, identical in every execution mode:
+
+        * plans are computed per block, up front, against the trip-start
+          triggered/enabled state (no decisions applied in between);
+        * each planned rule is evaluated once over its ordered trip entries
+          (:func:`check_rule_trip`), each block against its ``(window start,
+          now]`` view of the complete Event Base; later blocks skip the rules
+          their plans would no longer hold had the earlier decisions applied
+          per block — rules triggered earlier in the trip, and
+          pending-full-check riders that saw a non-empty window earlier in
+          the trip;
+        * all decisions are applied after the trip evaluates, block by block
+          in definition order, so counters, heaps and the newly-triggered
+          order line up in every mode and at every trip size.
+
+        Empty blocks count but plan nothing: a rule whose window was already
+        evaluated needs a new occurrence to trigger.  Without the
+        subscription index the full scan's per-rule filter reads the window
+        flags the previous block's decisions set, so nothing can be planned
+        up front and the blocks run as consecutive trips of one.
         """
-        self.stats.blocks += 1
-        newly_triggered: list[RuleState] = []
-        if not new_occurrences:
-            # Nothing happened in this block: no rule can become triggered
-            # (T(r, t) requires at least one new occurrence for untriggered
-            # rules whose window was already evaluated; rules whose window was
-            # non-empty were evaluated when those occurrences arrived).
-            return newly_triggered
-
-        with self._block_hist.time():
-            if self.use_static_optimization and self.use_subscription_index:
-                plan = self._plan_segment(new_occurrences, type_signature)
-                for state in plan.candidates:
-                    self.stats.rules_checked += 1
-                    self.prepare_rule(state)
-                    if self._check_rule(state, now, transaction_start):
-                        newly_triggered.append(state)
-                return newly_triggered
-
-            for state in self.rule_table.untriggered_states():
-                self.stats.rules_checked += 1
-                self.prepare_rule(state)
-                # The V(E) filter is sound only once the rule's window has
-                # been evaluated non-empty: before that, the rule may be
-                # blocked solely by the R != {} condition (e.g. a pure
-                # negation), and then any new occurrence — of any type — can
-                # trigger it.
-                filter_applicable = (
-                    self.use_static_optimization
-                    and state.recomputation_filter is not None
-                    and state.had_nonempty_window
+        routes_by_index = self._routes_by_index()
+        if not routes_by_index and len(blocks) > 1:
+            newly_triggered: list[RuleState] = []
+            for block in blocks:
+                newly_triggered.extend(
+                    self.check_after_blocks([block], transaction_start)
                 )
-                if filter_applicable:
-                    if not state.recomputation_filter.needs_recomputation(
-                        new_occurrences
-                    ):
-                        # The rule's trigger memo is deliberately NOT
-                        # advanced: the skipped block's instants stay
-                        # unsampled and a later check covers them, so
-                        # correctness never rests on the filter.
-                        self.stats.ts_skipped_by_filter += 1
-                        continue
-                if self._check_rule(state, now, transaction_start):
-                    newly_triggered.append(state)
             return newly_triggered
+        planned: list[tuple[Timestamp, TriggerPlan]] = []
+        with self._plan_hist.time():
+            for index, (occurrences, now) in enumerate(blocks):
+                self.stats.blocks += 1
+                if not occurrences:
+                    continue
+                if routes_by_index:
+                    signature = type_signatures[index] if type_signatures else None
+                    plan = self._plan_segment(occurrences, signature)
+                else:
+                    plan = self._scan_plan(occurrences)
+                planned.append((now, plan))
+        with self._check_hist.time():
+            decided = self._evaluate_trip(planned, transaction_start)
+        newly_triggered = []
+        with self._apply_hist.time():
+            for index, (now, plan) in enumerate(planned):
+                for state in plan.candidates:
+                    decision = decided.get((index, state.rule.name))
+                    if decision is None:
+                        continue
+                    self.stats.rules_checked += 1
+                    if self._apply_decision(state, decision, now):
+                        newly_triggered.append(state)
+        return newly_triggered
 
     def _plan_segment(self, occurrences, type_signature=None):
         """Plan one non-empty block and account the plan-time stats.
 
         The one place the signature is derived (when the caller does not
-        already carry it) and the routed/bypassed counters move — shared by
-        the per-block check and every block of a batched trip, and
-        overridden by the shard coordinator with its fan-out planning.  A
-        bypass is the ``V(E)`` filter applied wholesale: the index proved no
-        occurrence of the block can flip those rules' ``ts`` positive, which
-        is exactly what the per-rule filter would have concluded.
+        already carry it) and the routed/bypassed counters move, overridden
+        by the shard coordinator with its fan-out planning.  A bypass is the
+        ``V(E)`` filter applied wholesale: the index proved no occurrence of
+        the block can flip those rules' ``ts`` positive, which is exactly
+        what the per-rule filter would have concluded.
         """
         if type_signature is None:
             type_signature = getattr(occurrences, "type_signature", None)
@@ -281,179 +352,80 @@ class TriggerSupport:
         self.stats.ts_skipped_by_filter += plan.bypassed
         return plan
 
-    # -- the micro-batched check ---------------------------------------------
-    def check_after_blocks(
-        self,
-        blocks: Sequence[tuple[Sequence[EventOccurrence], Timestamp]],
-        transaction_start: Timestamp,
-    ) -> list[RuleState]:
-        """Check a *trip* of consecutive, already-ingested execution blocks.
+    def _scan_plan(self, occurrences: Sequence[EventOccurrence]) -> TriggerPlan:
+        """Plan one non-empty block by the full scan, rule by rule.
 
-        ``blocks`` is an ordered sequence of ``(occurrences, now)`` pairs, one
-        per execution block, all of which are already stored in the Event Base
-        (the batched streaming path ingests a whole micro-batch before
-        checking).  Each block keeps its own check: its own type signature,
-        its own plan and its own ``now`` — but the plans for every block of
-        the trip are resolved **up front**, against the triggered/enabled
-        state at the start of the trip, which is what lets the shard
-        coordinator ship the whole trip to each process worker in one round
-        trip.  The batched semantics, identical in every execution mode:
-
-        * plans are computed per block against the trip-start state (no
-          decisions applied in between);
-        * candidates are evaluated block by block, in definition order, each
-          against its block's ``(window start, now]`` view of the (complete)
-          Event Base; later blocks of the trip skip the rules their plans
-          would no longer contain had the earlier decisions applied
-          per-block — rules that came out triggered earlier in the trip,
-          and pending-full-check riders that saw a non-empty window earlier
-          in the trip (they would have left the pending set);
-        * all decisions are applied after the trip evaluates, block by block
-          in definition order, so counters, heaps and the newly-triggered
-          order line up across serial, thread and process execution.
-
-        A single-block trip delegates to :meth:`check_after_block` and is
-        byte-identical to the per-block path.  Without the subscription index
-        there is no up-front planning to batch, so the trip degrades to
-        consecutive per-block checks.
+        Every untriggered rule is visited; with static optimization its own
+        ``V(E)`` filter drops it when no occurrence of the block can flip its
+        ``ts`` positive.  The filter is sound only once the rule's window has
+        been evaluated non-empty: before that, the rule may be blocked solely
+        by the ``R != {}`` condition (e.g. a pure negation), and then any new
+        occurrence — of any type — can trigger it.
         """
-        if len(blocks) == 1:
-            occurrences, now = blocks[0]
-            return self.check_after_block(
-                occurrences,
-                now,
-                transaction_start,
-                getattr(occurrences, "type_signature", None),
-            )
-        if not (self.use_static_optimization and self.use_subscription_index):
-            newly_triggered: list[RuleState] = []
-            for occurrences, now in blocks:
-                newly_triggered.extend(
-                    self.check_after_block(
-                        occurrences,
-                        now,
-                        transaction_start,
-                        getattr(occurrences, "type_signature", None),
-                    )
-                )
-            return newly_triggered
-        planned: list[tuple[Timestamp, TriggerPlan]] = []
-        with self._plan_hist.time():
-            for occurrences, now in blocks:
-                self.stats.blocks += 1
-                if not occurrences:
-                    continue
-                planned.append((now, self._plan_segment(occurrences)))
-        with self._check_hist.time():
-            if self.use_compiled_checks:
-                evaluated = self._evaluate_trip_compiled(planned, transaction_start)
-            else:
-                evaluated = []
-                triggered_in_trip: set[str] = set()
-                saw_nonempty_window: set[str] = set()
-                for now, plan in planned:
-                    rows: list[tuple[RuleState, object]] = []
-                    for state in plan.candidates:
-                        name = state.rule.name
-                        if name in triggered_in_trip or (
-                            name in plan.pending_only and name in saw_nonempty_window
-                        ):
-                            continue
-                        self.prepare_rule(state)
-                        decision = self._evaluate_rule(
-                            state, now, transaction_start, self.stats.evaluation
-                        )
-                        if decision.triggered:
-                            triggered_in_trip.add(name)
-                        if decision.window_size > 0:
-                            saw_nonempty_window.add(name)
-                        rows.append((state, decision))
-                    evaluated.append((now, rows))
-        newly_triggered = []
-        with self._apply_hist.time():
-            for now, rows in evaluated:
-                for state, decision in rows:
-                    self.stats.rules_checked += 1
-                    if self._apply_decision(state, decision, now):
-                        newly_triggered.append(state)
-        return newly_triggered
+        candidates: list[RuleState] = []
+        for state in self.rule_table.untriggered_states():
+            self.prepare_rule(state)
+            if (
+                self.use_static_optimization
+                and state.had_nonempty_window
+                and not state.recomputation_filter.needs_recomputation(occurrences)
+            ):
+                # The rule's trigger memo is deliberately NOT advanced: the
+                # skipped block's instants stay unsampled and a later check
+                # covers them, so correctness never rests on the filter.
+                self.stats.rules_checked += 1
+                self.stats.ts_skipped_by_filter += 1
+                continue
+            candidates.append(state)
+        return TriggerPlan(candidates=candidates, routed=0, bypassed=0)
 
-    def _evaluate_trip_compiled(
+    def _evaluate_trip(
         self,
         planned: "list[tuple[Timestamp, TriggerPlan]]",
         transaction_start: Timestamp,
-    ) -> "list[tuple[Timestamp, list[tuple[RuleState, object]]]]":
-        """Rule-major evaluation of a planned trip through compiled checks.
+    ) -> dict[tuple[int, str], TriggeringDecision]:
+        """Evaluate a planned trip rule-major: ``(block index, rule name) -> decision``.
 
-        The block-major loop's in-trip skip sets key on the rule name alone,
-        so regrouping the trip by rule preserves them exactly; each rule's
-        ordered entries then evaluate in a single :meth:`CompiledCheck.check_trip`
-        pass over the timestamp arrays.  Decision rows are re-assembled in
-        every block's plan order, so the apply loop observes the same rows in
-        the same order as the block-major path.
+        The in-trip skips key on the rule name alone, so regrouping the trip
+        by rule preserves them exactly: each rule's ordered entries go
+        through one :func:`check_rule_trip` call.  Skipped entries get no
+        decision.  Overridden by the shard coordinator, which ships the trip
+        to its process workers.
         """
-        per_rule: dict[str, tuple[RuleState, list[tuple[int, Timestamp, bool]]]] = {}
-        for block_index, (now, plan) in enumerate(planned):
+        per_rule: dict[str, tuple[RuleState, Timestamp, list[int], list[tuple]]] = {}
+        for index, (now, plan) in enumerate(planned):
+            pending_only = plan.pending_only
             for state in plan.candidates:
                 name = state.rule.name
                 entry = per_rule.get(name)
                 if entry is None:
-                    entry = per_rule[name] = (state, [])
-                entry[1].append((block_index, now, name in plan.pending_only))
-        decided: dict[tuple[int, str], object] = {}
-        for name, (state, items) in per_rule.items():
-            self.prepare_rule(state)
-            window_start = state.triggering_window_start(transaction_start)
-            decisions = self._check_rule_trip(
-                state, window_start, items, self.stats.evaluation
-            )
-            for (block_index, _now, _pending), decision in zip(items, decisions):
+                    window_start = state.triggering_window_start(transaction_start)
+                    entry = per_rule[name] = (state, window_start, [], [])
+                entry[2].append(index)
+                entry[3].append((entry[1], now, name in pending_only))
+        decided: dict[tuple[int, str], TriggeringDecision] = {}
+        for name, (state, _, indexes, entries) in per_rule.items():
+            decisions = self._check_rule_trip(state, entries)
+            for index, decision in zip(indexes, decisions):
                 if decision is not None:
-                    decided[(block_index, name)] = decision
-        evaluated: list[tuple[Timestamp, list[tuple[RuleState, object]]]] = []
-        for block_index, (now, plan) in enumerate(planned):
-            rows = [
-                (state, decided[(block_index, state.rule.name)])
-                for state in plan.candidates
-                if (block_index, state.rule.name) in decided
-            ]
-            evaluated.append((now, rows))
-        return evaluated
+                    decided[index, name] = decision
+        return decided
 
     def _check_rule_trip(
-        self,
-        state: RuleState,
-        window_start: Timestamp,
-        items: "list[tuple[int, Timestamp, bool]]",
-        evaluation_stats: EvaluationStats,
-    ) -> "list[object]":
-        """One rule's ordered trip entries -> decisions (None = skipped).
-
-        Uses the compiled batched kernel when the rule carries a matching
-        compiled check; otherwise replays the per-entry interpreted sequence
-        with identical skip semantics (triggered earlier in the trip, or a
-        pending-only rider after an in-trip non-empty window).
-        """
-        compiled = state.compiled_check
-        if compiled is not None and compiled.mode is self.mode:
-            entries = [(window_start, now, pending) for _index, now, pending in items]
-            return compiled.check_trip(
-                self.event_base, entries, state.trigger_memo, evaluation_stats
-            )
-        decisions: list[object] = []
-        triggered = False
-        saw_nonempty = False
-        for _index, now, pending in items:
-            if triggered or (pending and saw_nonempty):
-                decisions.append(None)
-                continue
-            decision = self._evaluate_item(state, window_start, now, evaluation_stats)
-            if decision.triggered:
-                triggered = True
-            if decision.window_size > 0:
-                saw_nonempty = True
-            decisions.append(decision)
-        return decisions
+        self, state: RuleState, entries: "list[tuple]"
+    ) -> list[TriggeringDecision | None]:
+        """Run :func:`check_rule_trip` on one rule state (prepared first)."""
+        self.prepare_rule(state)
+        compiled = state.compiled_check if self.use_compiled_checks else None
+        return check_rule_trip(
+            state.rule.events,
+            compiled,
+            self.event_base,
+            entries,
+            self.mode,
+            state.trigger_memo,
+            self.stats.evaluation,
+        )
 
     def recheck_all(
         self, now: Timestamp, transaction_start: Timestamp
@@ -465,78 +437,11 @@ class TriggerSupport:
         """
         newly_triggered: list[RuleState] = []
         for state in self.rule_table.untriggered_states():
-            if self._check_rule(state, now, transaction_start):
+            entry = (state.triggering_window_start(transaction_start), now, False)
+            decision = self._check_rule_trip(state, [entry])[0]
+            if self._apply_decision(state, decision, now):
                 newly_triggered.append(state)
         return newly_triggered
-
-    def _check_rule(
-        self, state: RuleState, now: Timestamp, transaction_start: Timestamp
-    ) -> bool:
-        """Run the exact triggering check for one rule and update all state.
-
-        Shared by :meth:`check_after_block` and :meth:`recheck_all` so the
-        incremental memo, the non-empty-window flag and the counters are
-        maintained consistently whichever path evaluated the rule.  Returns
-        True when the rule became triggered.
-        """
-        decision = self._evaluate_rule(
-            state, now, transaction_start, self.stats.evaluation
-        )
-        return self._apply_decision(state, decision, now)
-
-    def _evaluate_rule(
-        self,
-        state: RuleState,
-        now: Timestamp,
-        transaction_start: Timestamp,
-        evaluation_stats: EvaluationStats,
-    ):
-        """The exact check's read side: compute the triggering decision.
-
-        Touches only per-rule state (the incremental memo) plus the caller's
-        ``evaluation_stats``, so independent rules can be evaluated
-        concurrently — the shard coordinator's worker pool relies on this
-        split, handing each worker its own stats and applying the decisions
-        serially afterwards (:meth:`_apply_decision`).
-        """
-        window_start = state.triggering_window_start(transaction_start)
-        return self._evaluate_item(state, window_start, now, evaluation_stats)
-
-    def _evaluate_item(
-        self,
-        state: RuleState,
-        window_start: Timestamp,
-        now: Timestamp,
-        evaluation_stats: EvaluationStats,
-    ):
-        """Evaluate one planned work item (an explicit ``(window start, now)``).
-
-        The batched dispatch path plans whole trips up front, so window
-        starts are resolved at planning time; this is the shared evaluation
-        kernel both the per-block and the multi-block paths call.  With
-        compiled checks enabled a prepared rule evaluates through its lowered
-        closures; the interpreted evaluator remains the fallback (and the
-        reference the compiled path is pinned byte-identical to).
-        """
-        if self.use_compiled_checks:
-            compiled = state.compiled_check
-            if compiled is not None and compiled.mode is self.mode:
-                return compiled.check(
-                    self.event_base,
-                    window_start,
-                    now,
-                    memo=state.trigger_memo,
-                    stats=evaluation_stats,
-                )
-        return is_triggered(
-            state.rule.events,
-            self.event_base,
-            window_start,
-            now,
-            self.mode,
-            evaluation_stats,
-            memo=state.trigger_memo,
-        )
 
     def _apply_decision(self, state: RuleState, decision, now: Timestamp) -> bool:
         """The exact check's write side: counters, window flag, triggering."""

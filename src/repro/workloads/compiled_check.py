@@ -20,7 +20,7 @@ Three sections share one result dict:
   selections and Trigger Support stats; the same dry kernel measurement runs
   on this grid point's (much denser) steady state.
 * **sweep** — the behavioral-invisibility grid: compiled off/on x
-  unsharded / serial / threads / processes x batch sizes 1-8, every run
+  unsharded / serial / processes x batch sizes 1-8, every run
   byte-identical (triggerings, selection order, stats) to the interpreted
   unsharded reference at the same batch size.
   ``tests/core/test_compiled_equivalence.py`` pins the same property down to
@@ -33,6 +33,7 @@ import time
 from typing import Sequence
 
 from repro.analysis.reporting import render_table
+from repro.cluster.sharding import SHARD_MODES
 from repro.core.compile import compile_check
 from repro.core.evaluation import EvaluationStats
 from repro.core.triggering import is_triggered
@@ -323,15 +324,15 @@ def measure_compiled_sweep(
     """The behavioral-invisibility grid: compiled x mode x batch size.
 
     For every batch size, the interpreted unsharded run is the reference;
-    the compiled unsharded run and all six coordinator runs (serial /
-    threads / processes, compiled off and on) must reproduce its triggering
+    the compiled unsharded run and all four coordinator runs (serial /
+    processes, compiled off and on) must reproduce its triggering
     counters, selection order and Trigger Support stats byte-identically.
     """
     universe = build_scaling_universe(rule_count)
     stream = EventStreamGenerator(
         event_types=universe, seed=seed + 1, events_per_block=events_per_block
     ).blocks(blocks)
-    modes = ("serial", "threads", "processes")
+    modes = SHARD_MODES
 
     def run(shards: int, shard_mode: str | None, batch: int, compiled_on: bool) -> dict:
         workload = ScalingWorkload(
@@ -429,7 +430,7 @@ def run_x11_sweeps(smoke: bool = False) -> dict:
                 "each grid point asserts identical triggering decisions, "
                 "priority-order selections and Trigger Support stats between "
                 "compiled and interpreted runs; the sweep section covers "
-                "unsharded/serial/threads/processes at batch sizes "
+                "unsharded/serial/processes at batch sizes "
                 + "/".join(str(batch) for batch in sweep["batch_sizes"])
             ),
         },

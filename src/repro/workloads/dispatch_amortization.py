@@ -25,7 +25,7 @@ check-heavy stream and reports, per batch size:
 
 Every grid point asserts identical triggering decisions, priority-order
 selections and Trigger Support stats across the single-table reference and
-the serial / threads / processes coordinator modes *at that batch size* (the
+the serial / processes coordinator modes *at that batch size* (the
 differential harness in ``tests/cluster/test_mode_equivalence.py`` pins the
 same property down to the per-rule counters for batch sizes 1–8).
 """
@@ -56,7 +56,7 @@ X10_BATCH_SWEEP = [1, 2, 4, 8]
 
 #: Coordinator execution modes compared at every batch size (plus the
 #: single-table reference).
-X10_MODES = ("serial", "threads", "processes")
+X10_MODES = ("serial", "processes")
 
 #: Full / smoke rule grids (shared by the benchmark script and the CLI).
 X10_RULE_SWEEP = [10_000]
@@ -78,7 +78,7 @@ def measure_dispatch_amortization(
     """Sweep the micro-batch size over one grid point, all execution modes.
 
     Per batch size the identical stream and rule pool run through the
-    single-table planner and the three coordinator modes; the process run's
+    single-table planner and both coordinator modes; the process run's
     transport counters are read for the measured phase only (the warm-up
     ships every rule definition once, which would drown the steady state).
     """
@@ -226,7 +226,7 @@ def run_x10_sweeps(smoke: bool = False) -> dict:
             "minus the serial coordinator's, i.e. the transport term the "
             "batching amortizes.  Every batch size asserts identical "
             "triggering decisions, selections and stats across the single "
-            "table and all three coordinator modes."
+            "table and both coordinator modes."
         ),
         "host_cpus": host_cpus,
         "headline": grid[-1],

@@ -7,7 +7,7 @@ shape-recurring streams over the ghost-monitor rule pool, with denser shapes
 and larger blocks so the exact ``ts`` work — the part the process pool moves
 onto other cores — dominates each block.
 
-Four configurations face the identical stream and rule pool, and every grid
+Three configurations face the identical stream and rule pool, and every grid
 point asserts identical triggering decisions and priority-order selections
 across all of them (the differential harness in
 ``tests/cluster/test_mode_equivalence.py`` pins the same property down to the
@@ -15,7 +15,6 @@ stats):
 
 * **single** — the single-table :class:`TriggerPlanner` (shards=0);
 * **serial** — the shard coordinator, inline deterministic mode;
-* **threads** — the shard coordinator on its thread pool (GIL-bound);
 * **processes** — the shard coordinator on the
   :class:`~repro.cluster.process_pool.ProcessShardPool`.
 
@@ -55,7 +54,7 @@ __all__ = [
 ]
 
 #: Execution modes compared by every X9 grid point (plus the single table).
-X9_MODES = ("serial", "threads", "processes")
+X9_MODES = ("serial", "processes")
 
 #: Full / smoke rule grids (shared by ``benchmarks/bench_x9_process_scaling.py``
 #: and ``chimera-events bench x9``).
@@ -75,7 +74,7 @@ def measure_process_scaling(
     planning_repetitions: int = 15,
     check_equivalence: bool = True,
 ) -> dict:
-    """All four execution modes over one check-heavy grid point.
+    """Every execution mode over one check-heavy grid point.
 
     The check-heavy twist on the X8 configuration: denser shapes and bigger
     blocks raise the routed-candidate count per block, so the exact ``ts``
@@ -260,7 +259,6 @@ def render_x9(results: dict) -> str:
             f"{row['planning_speedup']}x",
             row["check_us_per_block"]["single"],
             row["check_us_per_block"]["serial"],
-            row["check_us_per_block"]["threads"],
             row["check_us_per_block"]["processes"],
             f"{row['check_ratio_vs_single']['processes']}x",
         ]
@@ -288,7 +286,6 @@ def render_x9(results: dict) -> str:
                     "plan speedup",
                     "single chk µs",
                     "serial chk µs",
-                    "threads chk µs",
                     "process chk µs",
                     "proc ratio",
                 ],

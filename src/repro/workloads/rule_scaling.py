@@ -152,10 +152,9 @@ class ScalingWorkload:
         bulk_ingest: bool = True,
         shards: int = 0,
         shard_mode: str | None = None,
-        parallel_shards: bool = False,
         plan_cache_size: int | None = None,
         batch_blocks: int = 1,
-        use_compiled_checks: bool | None = None,
+        use_compiled_checks: bool = True,
         metrics: "MetricsRegistry | None" = None,
         transport: str | None = None,
         adaptive_batch: bool | None = None,
@@ -183,7 +182,6 @@ class ScalingWorkload:
                 use_static_optimization=use_static_optimization,
                 use_subscription_index=use_subscription_index,
                 shard_mode=shard_mode,
-                parallel=parallel_shards,
                 use_compiled_checks=use_compiled_checks,
                 metrics=metrics,
                 # transport=None defers to $CHIMERA_TRANSPORT: how the

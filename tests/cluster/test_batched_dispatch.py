@@ -158,7 +158,7 @@ class TestTripLocalSkip:
         later blocks of the trip the plan speculatively included — in every
         mode.
         """
-        for shard_mode in ("serial", "threads", "processes"):
+        for shard_mode in ("serial", "processes"):
             pipeline = _Pipeline(
                 [watcher("w0", "create(alpha)")], shard_mode=shard_mode
             )
@@ -197,7 +197,7 @@ class TestTripLocalSkip:
             reference.close()
         assert expected == 1
 
-        for shard_mode in ("serial", "threads", "processes"):
+        for shard_mode in ("serial", "processes"):
             pipeline = _Pipeline([watcher("w0", "create(beta)")], shard_mode=shard_mode)
             try:
                 segments = pipeline.segments([block(1, 1), block(2, 2), block(3, 3)])
@@ -306,7 +306,7 @@ class TestEngineStreamBlocks:
                 engine.close()
 
         reference = drive(0, None)
-        for mode in ("serial", "threads", "processes"):
+        for mode in ("serial", "processes"):
             assert drive(4, mode) == reference, mode
 
     def test_blocks_keep_their_boundaries(self):

@@ -1,4 +1,4 @@
-"""Cross-mode differential harness: serial == threads == processes.
+"""Cross-mode differential harness: serial == processes.
 
 The PR-4 process shard workers move the evaluate phase of the trigger check
 out of process (mirror Event Bases, worker-resident memos, decisions shipped
@@ -28,11 +28,11 @@ from repro.oodb.database import ChimeraDatabase
 from tests.cluster.test_shard_equivalence import run_scenario
 from tests.rules.test_planner_equivalence import build_scenario
 
-MODES = ("serial", "threads", "processes")
+MODES = ("serial", "processes")
 
 
 def test_modes_identical_under_randomized_churn():
-    """Seeded add/remove/disable churn + mixed-type blocks, all three modes."""
+    """Seeded add/remove/disable churn + mixed-type blocks, both modes."""
     for seed in (0, 2, 9, 13):
         scenario = build_scenario(seed)
         reference = run_scenario(scenario)
@@ -99,25 +99,33 @@ def test_batch_size_one_is_byte_identical_to_per_block():
 
 
 def test_batched_dispatch_identical_across_modes_for_batch_sizes_1_to_8():
-    """For every batch size 1-8: serial == threads == processes == unsharded.
+    """For every batch size 1-8: serial == processes == unsharded interpreted.
 
-    The unsharded batched run is the reference — traces, per-rule counters
-    and Trigger Support stats (``instants_sampled`` included) must be
-    byte-identical in every coordinator execution mode at the same batch
-    size.
+    The unsharded interpreted batched run is the reference — traces,
+    per-rule counters and Trigger Support stats (``instants_sampled``
+    included) must be byte-identical in every coordinator execution mode,
+    compiled checks on and off, at the same batch size.
     """
     for seed in (2, 9):
         scenario = build_scenario(seed)
         for batch_blocks in range(1, 9):
-            reference = run_scenario(scenario, batch_blocks=batch_blocks)
+            reference = run_scenario(
+                scenario, batch_blocks=batch_blocks, use_compiled_checks=False
+            )
             for mode in MODES:
-                result = run_scenario(
-                    scenario, shards=4, shard_mode=mode, batch_blocks=batch_blocks
-                )
-                for key in ("trace", "counters", "stats"):
-                    assert result[key] == reference[key], (
-                        f"seed {seed}, batch {batch_blocks}, {mode}: {key} diverged"
+                for use_compiled_checks in (False, True):
+                    result = run_scenario(
+                        scenario,
+                        shards=4,
+                        shard_mode=mode,
+                        batch_blocks=batch_blocks,
+                        use_compiled_checks=use_compiled_checks,
                     )
+                    for key in ("trace", "counters", "stats"):
+                        assert result[key] == reference[key], (
+                            f"seed {seed}, batch {batch_blocks}, {mode}, "
+                            f"compiled={use_compiled_checks}: {key} diverged"
+                        )
 
 
 def test_batched_dispatch_across_shard_counts():
@@ -183,7 +191,7 @@ def _bursty_trip_sizes(seed: int, max_batch: int = 8) -> tuple[int, ...]:
 
 def test_bursty_trips_identical_across_modes_and_transports():
     """Variable-size trips (bursts + idle gaps, churn at trip boundaries):
-    serial / threads / processes x pipe / tcp must all match the unsharded
+    serial / processes x pipe / tcp must all match the unsharded
     reference replaying the same partition, byte for byte."""
     for seed in (3, 17):
         scenario = build_scenario(seed)
@@ -211,13 +219,10 @@ def test_bursty_trips_with_recheck_and_compiled_checks():
     compiled exact-check kernel without losing equivalence."""
     scenario = build_scenario(11)
     sizes = _bursty_trip_sizes(29)
+    reference = run_scenario(
+        scenario, trip_sizes=sizes, recheck_every=6, use_compiled_checks=False
+    )
     for use_compiled_checks in (False, True):
-        reference = run_scenario(
-            scenario,
-            trip_sizes=sizes,
-            recheck_every=6,
-            use_compiled_checks=use_compiled_checks,
-        )
         for transport in TRANSPORTS:
             result = run_scenario(
                 scenario,
@@ -238,13 +243,16 @@ def test_tcp_transport_across_modes_shard_counts_and_batch_sizes():
     """The socket transport is pinned exactly like its in-process peers.
 
     ``--transport tcp`` over localhost workers must produce byte-identical
-    traces / per-rule counters / stats to the unsharded reference (and hence
-    to ``pipe``, which earlier tests pin against the same reference) across coordinator modes, shard counts 1-8 and batch sizes
-    1-8.
+    traces / per-rule counters / stats to the unsharded interpreted
+    reference (and hence to ``pipe``, which earlier tests pin against the
+    same reference) across coordinator modes, shard counts 1-8 and batch
+    sizes 1-8.
     """
     scenario = build_scenario(9)
     for batch_blocks in range(1, 9):
-        reference = run_scenario(scenario, batch_blocks=batch_blocks)
+        reference = run_scenario(
+            scenario, batch_blocks=batch_blocks, use_compiled_checks=False
+        )
         result = run_scenario(
             scenario,
             shards=4,
@@ -253,7 +261,7 @@ def test_tcp_transport_across_modes_shard_counts_and_batch_sizes():
             batch_blocks=batch_blocks,
         )
         assert result == reference, f"tcp: batch {batch_blocks} diverged"
-    reference = run_scenario(scenario, batch_blocks=3)
+    reference = run_scenario(scenario, batch_blocks=3, use_compiled_checks=False)
     for shards in (1, 2, 5, 8):
         for mode in MODES:
             result = run_scenario(
@@ -324,19 +332,17 @@ def test_snapshot_counters_identical_across_modes_batches_and_compiled():
 
     ``run_scenario`` returns the registry's deterministic ``trigger.*``
     snapshot counters; for every batch size 1-8, compiled checks on and off,
-    each coordinator mode must match the unsharded reference byte for byte —
-    the observability layer inherits the equivalence guarantee instead of
-    weakening it.
+    each coordinator mode must match the unsharded interpreted reference
+    byte for byte — the observability layer inherits the equivalence
+    guarantee instead of weakening it.
     """
-    for use_compiled_checks in (False, True):
-        scenario = build_scenario(2)
-        for batch_blocks in range(1, 9):
-            reference = run_scenario(
-                scenario,
-                batch_blocks=batch_blocks,
-                use_compiled_checks=use_compiled_checks,
-            )
-            assert reference["metrics"], "snapshot must carry trigger.* counters"
+    scenario = build_scenario(2)
+    for batch_blocks in range(1, 9):
+        reference = run_scenario(
+            scenario, batch_blocks=batch_blocks, use_compiled_checks=False
+        )
+        assert reference["metrics"], "snapshot must carry trigger.* counters"
+        for use_compiled_checks in (False, True):
             for mode in MODES:
                 result = run_scenario(
                     scenario,
@@ -356,7 +362,7 @@ def test_per_shard_candidate_counters_identical_across_modes():
 
     ``shard.candidates.N`` counts plan-time candidates per shard; the plan is
     computed coordinator-side in every mode, so at a fixed shard count the
-    counters must agree across serial / threads / processes (the unsharded
+    counters must agree across serial / processes (the unsharded
     reference has no shards, hence no such counters — compare among modes).
     """
     scenario = build_scenario(9)

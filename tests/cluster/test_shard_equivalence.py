@@ -12,7 +12,7 @@ rules over overlapping class/attribute patterns, pure negations, priority
 ties, empty blocks, removals / re-adds / disable-enable flips mid-run); here
 they are replayed across shard counts 1–8.  ``run_scenario`` is shared with
 ``tests/cluster/test_mode_equivalence.py``, which replays the same churn
-across the serial / threads / processes execution modes.
+across the serial / processes execution modes.
 """
 
 from __future__ import annotations
@@ -30,19 +30,17 @@ from tests.rules.test_planner_equivalence import Scenario, build_scenario
 def run_scenario(
     scenario: Scenario,
     shards: int = 0,
-    parallel: bool = False,
     shard_mode: str | None = None,
     recheck_every: int = 0,
     batch_blocks: int = 1,
     trip_sizes: tuple[int, ...] | None = None,
-    use_compiled_checks: bool | None = None,
+    use_compiled_checks: bool = True,
     transport: str | None = None,
     metric_prefixes: tuple[str, ...] = ("trigger.",),
 ) -> dict:
     """Execute a scenario; ``shards=0`` is the single-table reference.
 
-    ``shard_mode`` selects the coordinator's execution mode explicitly
-    (``parallel=True`` remains the PR-3 spelling of ``"threads"``);
+    ``shard_mode`` selects the coordinator's execution mode explicitly;
     ``recheck_every=N`` runs a commit-style ``recheck_all`` after every Nth
     block, exercising the exhaustive path the process mode must also route
     through its workers.  ``batch_blocks=N`` coalesces the stream into
@@ -54,8 +52,8 @@ def run_scenario(
     partition (cycled if it runs out) — the bursty-arrival replay: the
     variable-size trips an adaptive consumer realizes under Poisson bursts
     and idle gaps, still with churn at trip boundaries.
-    ``use_compiled_checks`` selects the compiled exact-check closures
-    (``None`` defers to the ambient ``$CHIMERA_COMPILED_CHECKS`` default).
+    ``use_compiled_checks=False`` runs the interpreted evaluator instead of
+    the compiled exact-check closures.
     ``transport`` selects the process mode's worker transport (``pipe`` or
     ``tcp``; ``None`` defers to ``$CHIMERA_TRANSPORT``).
     ``metric_prefixes`` filters which snapshot counters of the PR-8 metrics
@@ -78,7 +76,6 @@ def run_scenario(
         support: TriggerSupport = ShardCoordinator(
             table,
             event_base,
-            parallel=parallel,
             shard_mode=shard_mode,
             use_compiled_checks=use_compiled_checks,
             transport=transport,
@@ -169,17 +166,6 @@ def test_sharded_equals_single_table_across_shard_counts():
         for shards in range(1, 9):
             sharded = run_scenario(scenario, shards=shards)
             assert sharded == reference, f"seed {seed}: {shards} shards != single table"
-
-
-def test_parallel_mode_equals_single_table():
-    for seed in (3, 7, 11, 42):
-        scenario = build_scenario(seed)
-        reference = run_scenario(scenario)
-        for shards in (2, 4, 8):
-            parallel = run_scenario(scenario, shards=shards, parallel=True)
-            assert parallel == reference, (
-                f"seed {seed}: parallel {shards}-shard run != single table"
-            )
 
 
 def test_sharded_equals_single_table_with_larger_rule_pools():

@@ -170,7 +170,7 @@ class TestCoordinatorCheck:
     def test_parallel_pool_lifecycle(self):
         table = ShardedRuleTable(4)
         event_base = EventBase()
-        with ShardCoordinator(table, event_base, parallel=True) as coordinator:
+        with ShardCoordinator(table, event_base, shard_mode="processes") as coordinator:
             for index, class_name in enumerate(("stock", "order", "show")):
                 table.add(make_rule(f"w{index}", f"create({class_name})"))
             block = [

@@ -14,7 +14,7 @@ operators with hand-built shapes the random generator reaches rarely: pure
 negation, nested precedence, instance lifts with inner negations (the
 universal and existential domain-growth cases) and instance-oriented roots.
 The last tests replay whole churn scenarios through the coordinators —
-serial, threads and processes — with compiled checks on and off.
+serial and processes — with compiled checks on and off.
 """
 
 from __future__ import annotations
@@ -254,7 +254,7 @@ class TestCoordinatorEquivalence:
             scenario = build_scenario(seed)
             reference = run_scenario(scenario, use_compiled_checks=False)
             assert run_scenario(scenario, use_compiled_checks=True) == reference
-            for shard_mode in ("serial", "threads", "processes"):
+            for shard_mode in ("serial", "processes"):
                 for batch_blocks in (1, 4):
                     interpreted = run_scenario(
                         scenario,
@@ -408,3 +408,60 @@ class TestRecompilationInvariants:
             assert not rows[0][1].triggered
         finally:
             pool.close()
+
+
+# ---------------------------------------------------------------------------
+# Compiled checks are the default; the process coordinator compiles nothing
+# ---------------------------------------------------------------------------
+
+
+def _alpha_block(stamp: int) -> list:
+    from repro.events.event import EventOccurrence
+
+    return [
+        EventOccurrence(
+            eid=stamp,
+            event_type=EventType(Operation.CREATE, "alpha"),
+            oid=f"alpha#{stamp}",
+            timestamp=stamp,
+        )
+    ]
+
+
+class TestCompiledByDefault:
+    def test_default_database_runs_compiled_checks(self):
+        from repro.oodb.database import ChimeraDatabase
+
+        db = ChimeraDatabase(shards=0)
+        try:
+            db.define_rule(_watcher())
+            support = db.engine.trigger_support
+            assert support.use_compiled_checks
+            state = db.rule_table.get("w")
+            assert state.compiled_check is not None
+            db.engine.run_stream_block(_alpha_block(1))
+            assert state.compiled_check.is_bound
+            assert state.times_triggered == 1
+        finally:
+            db.close()
+
+    def test_process_coordinator_compiles_nothing(self):
+        """In processes mode the workers compile their own rules: no rule
+        state on the coordinator carries a compiled check, after definition
+        and after a trip, while the trip still triggers on the workers."""
+        from repro.oodb.database import ChimeraDatabase
+
+        db = ChimeraDatabase(shards=2, shard_mode="processes", use_compiled_checks=True)
+        try:
+            db.define_rule(_watcher("w0", "create(alpha)"))
+            db.define_rule(_watcher("w1", "create(alpha) + create(beta)"))
+            states = list(db.rule_table.states())
+            assert all(state.compiled_check is None for state in states)
+            db.engine.run_stream_block(_alpha_block(1))
+            support = db.engine.trigger_support
+            assert support.process_pool is not None
+            assert support.process_pool.use_compiled_checks
+            assert db.rule_table.get("w0").times_triggered == 1
+            assert all(state.compiled_check is None for state in states)
+        finally:
+            db.close()
