@@ -14,9 +14,10 @@ per-rule hot loops.  This bench measures the contract:
   micro-batch sizes; the processes points also exercise (and structurally
   assert) the cross-process metric-delta merge.
 
-Arms run as interleaved repetitions with min-of-reps per arm, and every grid
-point asserts the two arms made byte-identical triggering decisions,
-selections and stats — metrics observe, they never steer.
+Arms run side by side, trip by trip, over interleaved repetitions; each
+arm's cost sums every measured trip's min-of-reps, and every grid point
+asserts the two arms made byte-identical triggering decisions, selections
+and stats — metrics observe, they never steer.
 
 Run as a script to execute the full sweep and write machine-readable results
 to ``BENCH_PR8.json`` at the repo root::

@@ -1,21 +1,20 @@
-"""X13 — row-frame delta encoding + adaptive dispatch sizing.
+"""X13 — row-frame delta encoding + drain-sized dispatch trips.
 
 X10 amortized the process shard mode's round trips; what remains per block
 on the transport side is **delta encoding**.  Every delta is a row frame:
 payload-free occurrences are encoded once, globally, as fixed-width rows,
 and each worker's delta is a slice of that log (payload-bearing rows ride
-along as out-of-band snapshot tuples).  The ``DispatchController`` closes
-the loop on the trip size itself, sizing each stream drain from the live
-queue-depth / dispatch-latency signals.  This bench shows:
+along as out-of-band snapshot tuples).  The trip size needs no control
+loop: each stream-ingestor wake-up drains what is queued without blocking,
+up to the static ``max_batch_blocks`` bound.  This bench shows:
 
 * **what delta encoding costs** — per-block delta-encode cost and inline /
   fallback row counts on the X10 check-heavy grid, with a payload-bearing
   arm driving every row through the fallback;
-* **the controller adapts** — a bursty stream through static-1 / static-8 /
-  adaptive ingestor arms: per-block trips while idle (latency within 10% of
-  static-1), widened trips under backlog (throughput within 10% of
-  static-8), and a shrink back to 1 when the burst drains (structural,
-  asserted);
+* **the drain adapts** — a bursty stream through bound-1 and bound-8
+  ingestor arms: the bound-8 arm runs per-block trips while idle (latency
+  within 10% of bound-1) and drains the backlog in fewer trips than blocks
+  (structural, asserted);
 * **behavioral invisibility** — every encoding grid point asserts
   identical triggering decisions, selections and stats across the single
   table, the serial coordinator and the process workers; every adaptivity
@@ -67,11 +66,9 @@ def main(argv: list[str] | None = None) -> None:
     headline = results["headline"]
     print(
         f"headline: delta encode {headline['delta_encode_us_per_block']} µs/block "
-        f"(payload-free); adaptive idle latency ratio "
-        f"{headline['idle_latency_ratio']} vs static-1, backlog throughput "
-        f"ratio {headline['backlog_throughput_ratio']} vs static-8 "
-        f"(widened {headline['adaptive_widened']}x, settled back to bound "
-        f"{headline['adaptive_final_bound']})"
+        f"(payload-free); static-8 idle latency ratio "
+        f"{headline['idle_latency_ratio']} and backlog throughput ratio "
+        f"{headline['backlog_throughput_ratio']} vs static-1"
     )
 
 
@@ -108,7 +105,7 @@ def test_x13_payload_rows_fall_back_and_stay_identical():
     assert result["deltas"] > 0, result
 
 
-def test_x13_adaptive_controller_widens_and_shrinks():
+def test_x13_drain_keeps_idle_trips_single_and_coalesces_backlog():
     result = measure_bursty_adaptivity(
         rule_count=200,
         shards=2,
@@ -117,20 +114,12 @@ def test_x13_adaptive_controller_widens_and_shrinks():
         cooldown_blocks=6,
         events_per_block=8,
     )
-    arms = result["arms"]
-    adaptive = arms["adaptive"]
-    # Structural: the controller widened under backlog, shrank when it
-    # drained, and finished back at per-block trips.
-    assert adaptive["widened"] >= 1, adaptive
-    assert adaptive["shrunk"] >= 1, adaptive
-    assert adaptive["final_bound"] == 1, adaptive
-    # Idle phases never coalesce (latency mode)...
-    assert adaptive["idle_trips"] == result["idle_blocks"], adaptive
+    static_8 = result["arms"]["static_8"]
+    # Idle phases never coalesce (the queue is drained at every wake-up)...
+    assert static_8["idle_trips"] == result["idle_blocks"], static_8
     # ...while the backlog drains in fewer trips than blocks (amortization).
-    assert adaptive["backlog_trips"] < result["backlog_blocks"], adaptive
-    assert adaptive["max_blocks_per_trip"] > 1, adaptive
-    # The static arms never touch the controller.
-    assert arms["static_1"]["widened"] == arms["static_8"]["widened"] == 0, arms
+    assert static_8["backlog_trips"] < result["backlog_blocks"], static_8
+    assert static_8["max_blocks_per_trip"] > 1, static_8
 
 
 if __name__ == "__main__":

@@ -263,42 +263,31 @@ def check_x13(
                 failures,
             )
     adaptivity = results["adaptivity"]
-    adaptive = adaptivity["arms"]["adaptive"]
+    static_8 = adaptivity["arms"]["static_8"]
     _check(
-        adaptive["widened"] >= 1 and adaptive["shrunk"] >= 1,
-        f"controller widened under backlog and shrank when it drained "
-        f"({adaptive['widened']} widen / {adaptive['shrunk']} shrink steps)",
+        static_8["idle_trips"] == adaptivity["idle_blocks"],
+        f"static-8 idle phase never coalesced ({static_8['idle_trips']} trips "
+        f"over {adaptivity['idle_blocks']} blocks)",
         failures,
     )
     _check(
-        adaptive["final_bound"] == 1,
-        f"controller settled back to per-block trips "
-        f"(final bound {adaptive['final_bound']})",
-        failures,
-    )
-    _check(
-        adaptive["idle_trips"] == adaptivity["idle_blocks"],
-        f"idle phase never coalesced ({adaptive['idle_trips']} trips over "
-        f"{adaptivity['idle_blocks']} blocks)",
-        failures,
-    )
-    _check(
-        adaptive["backlog_trips"] < adaptivity["backlog_blocks"],
-        f"backlog drained in batched trips ({adaptive['backlog_trips']} trips "
-        f"< {adaptivity['backlog_blocks']} blocks)",
+        static_8["backlog_trips"] < adaptivity["backlog_blocks"],
+        f"static-8 backlog drained in batched trips "
+        f"({static_8['backlog_trips']} trips < {adaptivity['backlog_blocks']} "
+        f"blocks)",
         failures,
     )
     latency_cap = limits["max_idle_latency_ratio"] * (1.0 + tolerance)
     _check(
         adaptivity["idle_latency_ratio"] <= latency_cap,
-        f"adaptive idle latency tracks static-1 "
+        f"static-8 idle latency tracks static-1 "
         f"({adaptivity['idle_latency_ratio']} <= {latency_cap:.2f})",
         failures,
     )
     throughput_floor = _relax(limits["min_backlog_throughput_ratio"], tolerance)
     _check(
         adaptivity["backlog_throughput_ratio"] >= throughput_floor,
-        f"adaptive backlog throughput tracks static-8 "
+        f"static-8 backlog throughput holds against static-1 "
         f"({adaptivity['backlog_throughput_ratio']} >= {throughput_floor:.2f})",
         failures,
     )

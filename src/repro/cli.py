@@ -197,16 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     workload_parser.add_argument(
-        "--adaptive-batch",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "size dispatch trips with the closed-loop controller instead of "
-            "the static --batch-blocks bound "
-            "(default: the $CHIMERA_ADAPTIVE_BATCH ambient setting, off)"
-        ),
-    )
-    workload_parser.add_argument(
         "--metrics",
         action="store_true",
         help="print the metrics registry's text report after the run",
@@ -399,7 +389,6 @@ def _command_workload(args: argparse.Namespace) -> int:
         use_compiled_checks=args.compiled_checks,
         metrics=metrics,
         transport=args.transport,
-        adaptive_batch=args.adaptive_batch,
     )
     stream = EventStreamGenerator(
         event_types=universe, seed=args.seed + 1, events_per_block=args.events_per_block
@@ -442,7 +431,7 @@ def _command_workload(args: argparse.Namespace) -> int:
             cluster["plan_cache_misses"] = table.plan_cache_misses
             cluster["plan_cache_evictions"] = table.plan_cache_evictions
             # Shard balance: crc32 bucket placement can skew for real rule
-            # pools — the adaptive-rebalancing follow-up needs this signal.
+            # pools — a shard-rebalancing follow-up needs this signal.
             population = table.shard_population()
             mean_population = sum(population) / max(1, len(population))
             cluster["shard_population"] = "/".join(str(count) for count in population)

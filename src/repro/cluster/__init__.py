@@ -18,9 +18,10 @@ package scales along:
   snapshots — the first execution mode where trigger checking uses multiple
   cores;
 * :mod:`repro.cluster.streaming` — :class:`StreamIngestor`, the bounded-queue
-  pipeline that decouples producers from rule evaluation and coalesces
-  backlogged blocks into micro-batched dispatch trips
-  (``max_batch_blocks`` / ``$CHIMERA_BATCH_BLOCKS``).
+  pipeline that decouples producers from rule evaluation.  Each consumer
+  wake-up drains the queued backlog without blocking, so trips size
+  themselves: one block while the stream is idle, up to the one knob
+  ``max_batch_blocks`` / ``$CHIMERA_BATCH_BLOCKS`` under a backlog.
 
 See PERFORMANCE.md ("Sharded trigger planning", "Multi-process shard
 workers" and "Batched worker dispatch") for the architecture notes and

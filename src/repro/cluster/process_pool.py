@@ -81,6 +81,7 @@ the :class:`~repro.cluster.transport.ShardTransport` seam:
 
 from __future__ import annotations
 
+import gc
 import pickle
 import time
 import traceback
@@ -183,6 +184,9 @@ def _worker_main(
                 mirror.extend(frame_reader.read(delta, type_cache))
             # Drops before defs: a removed-then-re-added name must end up
             # with the fresh definition, not the stale entry.
+            if drops:
+                # Thaw first: the dropped rules' objects must be collectable.
+                gc.unfreeze()
             for name in drops:
                 rules.pop(name, None)
             for name, order, expression in defs:
@@ -192,6 +196,11 @@ def _worker_main(
                     TriggerMemo(),
                     compile_check(expression, mode) if compiled_checks else None,
                 ]
+            if defs:
+                # The definitions (and the forked heap under them) live as
+                # long as the worker: move them out of the collected
+                # generations, so gen-2 passes stop rescanning them.
+                gc.freeze()
             state_applied = True
             stats = EvaluationStats()
             trips_counter.inc()

@@ -28,6 +28,14 @@ dispatch").  ``max_batch_blocks=1`` (the default) is byte-identical to the
 PR-3 behavior; the ambient default can be raised with
 ``$CHIMERA_BATCH_BLOCKS``.
 
+The drain is the whole trip-sizing policy, and it adapts by itself: each
+wake-up takes what is already queued without blocking, so an idle stream
+(the consumer keeping up) gets trips of one block at block-at-a-time
+latency, while a backlog is caught up in trips of up to ``max_batch_blocks``.
+A closed-loop controller that widened and shrank the bound on top of this
+was measured against the plain drain and removed: it never beat the static
+bound (PERFORMANCE.md, "Adaptive dispatch: removed").
+
 Correctness leans on the lag tolerance the incremental trigger memo already
 has: ``TriggerMemo.seen_events`` records how much of the log a check had
 seen, so checks that run behind the producer's appends sample exactly the
@@ -56,10 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a package cycle)
 
 __all__ = [
     "DEFAULT_BATCH_ENV_VAR",
-    "DEFAULT_ADAPTIVE_ENV_VAR",
     "default_batch_blocks",
-    "default_adaptive_batch",
-    "DispatchController",
     "StreamIngestStats",
     "StreamIngestor",
 ]
@@ -67,10 +72,6 @@ __all__ = [
 #: Environment variable consulted when ``max_batch_blocks`` is not given
 #: explicitly (mirrors ``$CHIMERA_SHARDS`` / ``$CHIMERA_SHARD_MODE``).
 DEFAULT_BATCH_ENV_VAR = "CHIMERA_BATCH_BLOCKS"
-
-#: Environment variable consulted when ``adaptive_batch`` is not given
-#: explicitly: a truthy value turns the dispatch controller on.
-DEFAULT_ADAPTIVE_ENV_VAR = "CHIMERA_ADAPTIVE_BATCH"
 
 _SENTINEL = None
 
@@ -84,138 +85,6 @@ def default_batch_blocks() -> int:
         return max(1, int(raw))
     except ValueError:
         return 1
-
-
-def default_adaptive_batch() -> bool:
-    """The ambient adaptive-batch switch: ``$CHIMERA_ADAPTIVE_BATCH``, off."""
-    raw = os.environ.get(DEFAULT_ADAPTIVE_ENV_VAR, "").strip().lower()
-    return raw in {"1", "true", "yes", "on"}
-
-
-class DispatchController:
-    """Closed-loop trip sizing (plus shard-rebalance advice) from live metrics.
-
-    PR 5 made the trip size a static knob: ``max_batch_blocks`` trades
-    per-block latency for dispatch amortization blindly.  The PR-8
-    observability layer measures the two signals that decide that trade
-    continuously — the ``ingest.queue_depth`` gauge and the ``trip.dispatch``
-    latency histogram — so this controller closes the loop:
-
-    * **deep backlog widens**: when the queue depth reaches ``widen_depth``
-      (or the projected drain time ``depth x p99(trip.dispatch)`` exceeds
-      ``latency_budget`` seconds), the bound doubles toward
-      ``max_batch_blocks`` — dispatch overhead amortizes exactly when there
-      is a backlog to amortize it over;
-    * **idle shrinks**: a drained queue drops the bound back to 1, restoring
-      per-block latency;
-    * **hysteresis damps oscillation**: a step needs ``hysteresis``
-      consecutive observations in the same direction — alternating signals
-      reset the streak and hold the bound.
-
-    Trip sizing only moves *when* triggered rules are considered (to the
-    trip boundary — inherent to micro-batching, exactly like the static
-    knob; see ``RuleEngine.run_stream_blocks``), so the controller can act
-    freely: every realized trip partition is pinned byte-identical against
-    an unsharded replay of the same partition (the ingestor records it as
-    :attr:`StreamIngestor.trip_sizes` for exactly that differential
-    harness).  The controller also reads the per-trip
-    ``shard.candidates.N`` counters into live **rebalance advice**
-    (:meth:`rebalance_advice`): moving rules between shards would also move
-    their worker-resident memos and is deliberately *not* automated — the
-    advice is exported as the ``controller.shard_imbalance`` gauge instead.
-
-    With a disabled registry the controller is inert: :meth:`observe`
-    returns the static ``max_batch_blocks``, i.e. exactly the PR-5 behavior.
-    """
-
-    def __init__(
-        self,
-        metrics: MetricsRegistry,
-        max_batch_blocks: int,
-        widen_depth: int = 2,
-        latency_budget: float = 0.050,
-        hysteresis: int = 2,
-    ) -> None:
-        if max_batch_blocks < 1:
-            raise ValueError(
-                f"max_batch_blocks must be positive (got {max_batch_blocks})"
-            )
-        if hysteresis < 1:
-            raise ValueError(f"hysteresis must be positive (got {hysteresis})")
-        self.metrics = metrics
-        self.max_batch_blocks = max_batch_blocks
-        self.widen_depth = widen_depth
-        self.latency_budget = latency_budget
-        self.hysteresis = hysteresis
-        #: Inert without instruments (or without any room to adapt in).
-        self.enabled = metrics.enabled and max_batch_blocks > 1
-        #: The live per-trip bound; starts in per-block mode and earns its
-        #: way up under measured backlog.
-        self.batch_blocks = 1 if self.enabled else max_batch_blocks
-        self._depth_gauge = metrics.gauge("ingest.queue_depth")
-        self._dispatch_hist = metrics.histogram("trip.dispatch")
-        self._bound_gauge = metrics.gauge("controller.batch_blocks")
-        self._widen_counter = metrics.counter("controller.widened")
-        self._shrink_counter = metrics.counter("controller.shrunk")
-        self._imbalance_gauge = metrics.gauge("controller.shard_imbalance")
-        self._bound_gauge.set(self.batch_blocks)
-        self._streak_direction = 0
-        self._streak = 0
-
-    def observe(self) -> int:
-        """One control step; returns the trip bound to use for this drain."""
-        if not self.enabled:
-            return self.max_batch_blocks
-        depth = self._depth_gauge.value
-        if depth >= self.widen_depth or (
-            depth > 0
-            and depth * self._dispatch_hist.quantile(0.99) >= self.latency_budget
-        ):
-            direction = 1
-        elif depth == 0:
-            direction = -1
-        else:
-            direction = 0
-        if direction == 0 or direction != self._streak_direction:
-            self._streak_direction = direction
-            self._streak = 1 if direction else 0
-            return self.batch_blocks
-        self._streak += 1
-        if self._streak < self.hysteresis:
-            return self.batch_blocks
-        self._streak = 0
-        if direction > 0 and self.batch_blocks < self.max_batch_blocks:
-            self.batch_blocks = min(self.batch_blocks * 2, self.max_batch_blocks)
-            self._widen_counter.inc()
-            self._bound_gauge.set(self.batch_blocks)
-        elif direction < 0 and self.batch_blocks > 1:
-            self.batch_blocks = 1
-            self._shrink_counter.inc()
-            self._bound_gauge.set(self.batch_blocks)
-        return self.batch_blocks
-
-    def rebalance_advice(self) -> dict[str, float] | None:
-        """Live shard-skew advice from the ``shard.candidates.N`` counters.
-
-        Returns ``{"max": ..., "mean": ..., "imbalance": max/mean}`` (or
-        ``None`` below two shards / before any candidates) and publishes the
-        ratio as the ``controller.shard_imbalance`` gauge — 1.0 is a
-        perfectly balanced deal, 2.0 means the hottest shard checks twice
-        the average.  Advisory only; see the class docstring.
-        """
-        if not self.enabled:
-            return None
-        candidates = self.metrics.counter_values("shard.candidates.")
-        if len(candidates) < 2:
-            return None
-        values = list(candidates.values())
-        mean = sum(values) / len(values)
-        if mean <= 0:
-            return None
-        peak = max(values)
-        imbalance = peak / mean
-        self._imbalance_gauge.set(imbalance)
-        return {"max": float(peak), "mean": mean, "imbalance": imbalance}
 
 
 @dataclass
@@ -264,7 +133,6 @@ class StreamIngestor:
         max_pending: int = 64,
         bulk: bool = True,
         max_batch_blocks: int | None = None,
-        adaptive_batch: bool | None = None,
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be positive (got {max_pending})")
@@ -274,8 +142,6 @@ class StreamIngestor:
             raise ValueError(
                 f"max_batch_blocks must be positive (got {max_batch_blocks})"
             )
-        if adaptive_batch is None:
-            adaptive_batch = default_adaptive_batch()
         self.engine = engine
         self.bulk = bulk
         #: Upper bound on how many queued blocks one consumer wake-up drains
@@ -294,15 +160,6 @@ class StreamIngestor:
         self._coalesce_hist = self.metrics.histogram(
             "ingest.coalesce_blocks", bounds=COUNT_BUCKETS
         )
-        #: The closed control loop sizing each drain (PR 9).  With a disabled
-        #: registry (or ``max_batch_blocks=1``) the controller is inert and
-        #: the ingestor behaves exactly like the static PR-5 pipeline.
-        self.controller: DispatchController | None = (
-            DispatchController(self.metrics, max_batch_blocks)
-            if adaptive_batch
-            else None
-        )
-        self.adaptive_batch = self.controller is not None and self.controller.enabled
         #: Realized micro-batch sizes, in trip order.  Trip sizing moves
         #: considerations to trip boundaries, so equivalence harnesses replay
         #: exactly this partition on an unsharded reference engine.
@@ -395,17 +252,11 @@ class StreamIngestor:
             # Coalesce: drain whatever backlog is already queued (up to the
             # micro-batch bound) without blocking — an idle stream keeps
             # block-at-a-time latency, a lagging consumer catches up in
-            # batched dispatch trips.  With the controller on, the bound for
-            # this drain comes from the control loop instead of the static
-            # knob.
-            bound = self.max_batch_blocks
-            if self.controller is not None:
-                self._queue_gauge.set(self._queue.qsize())
-                bound = self.controller.observe()
-                self.controller.rebalance_advice()
+            # batched dispatch trips.  The drain is the whole trip-sizing
+            # policy: the trip is as wide as the backlog, capped by the knob.
             items = [item]
             saw_sentinel = False
-            while len(items) < bound:
+            while len(items) < self.max_batch_blocks:
                 try:
                     extra = self._queue.get_nowait()
                 except queue.Empty:

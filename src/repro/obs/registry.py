@@ -120,9 +120,8 @@ class Histogram:
 
     ``bounds`` are the inclusive upper edges of the finite buckets; one
     overflow bucket is appended implicitly.  Observing costs one ``bisect``
-    plus a handful of attribute stores — cheap enough for per-block spans,
-    and the :meth:`quantile` estimate is bucket-resolution (fine for the
-    latency signals the adaptive-dispatch controller needs).
+    plus a handful of attribute stores — cheap enough for per-block spans;
+    the :meth:`quantile` estimate is bucket-resolution.
     """
 
     __slots__ = (
@@ -315,22 +314,6 @@ class MetricsRegistry:
             with self._lock:
                 instrument = self._histograms.setdefault(name, Histogram(name, bounds))
         return instrument
-
-    def counter_values(self, prefix: str) -> dict[str, int]:
-        """Live values of the counters whose names start with ``prefix``.
-
-        A cheap probe for control loops (e.g. the dispatch controller reading
-        the ``shard.candidates.N`` family) — no source folding, no snapshot
-        cost.  Empty when disabled.
-        """
-        if not self.enabled:
-            return {}
-        with self._lock:
-            return {
-                name: counter.value
-                for name, counter in self._counters.items()
-                if name.startswith(prefix)
-            }
 
     # -- spans ----------------------------------------------------------------
     def span(self, name: str, **attributes: int):

@@ -54,7 +54,6 @@ class ChimeraDatabase:
         use_compiled_checks: bool = True,
         metrics: "MetricsRegistry | None" = None,
         transport: str | None = None,
-        adaptive_batch: bool | None = None,
     ) -> None:
         from repro.cluster.sharding import ShardedRuleTable, default_shard_count
         from repro.cluster.streaming import default_batch_blocks
@@ -111,10 +110,6 @@ class ChimeraDatabase:
         if batch_blocks < 1:
             raise ValueError(f"batch_blocks must be positive (got {batch_blocks})")
         self.batch_blocks = batch_blocks
-        # adaptive_batch=None defers to the ambient default
-        # ($CHIMERA_ADAPTIVE_BATCH): whether a stream_ingestor() sizes its
-        # trips with the closed-loop dispatch controller.
-        self.adaptive_batch = adaptive_batch
         self._active_transaction: Transaction | None = None
         self._store_snapshot: dict[str, Any] | None = None
 
@@ -127,7 +122,6 @@ class ChimeraDatabase:
         max_pending: int = 64,
         bulk: bool = True,
         batch_blocks: int | None = None,
-        adaptive_batch: bool | None = None,
     ):
         """A pipelined (and optionally coalescing) ingestor over this engine.
 
@@ -135,25 +129,18 @@ class ChimeraDatabase:
         the database's rule engine: producers submit pre-stamped occurrence
         batches, the consumer thread runs them through the stream-block
         pipeline, draining up to ``batch_blocks`` queued blocks per dispatch
-        trip (default: the database's ``batch_blocks`` knob).  With
-        ``adaptive_batch`` the per-trip bound is sized by the closed-loop
-        :class:`~repro.cluster.streaming.DispatchController` instead of
-        staying static (default: the database's knob, then
-        ``$CHIMERA_ADAPTIVE_BATCH``).  The engine must not be driven through
-        transactions while the ingestor is open.
+        trip (default: the database's ``batch_blocks`` knob).  The engine
+        must not be driven through transactions while the ingestor is open.
         """
         from repro.cluster.streaming import StreamIngestor
 
         if batch_blocks is None:
             batch_blocks = self.batch_blocks
-        if adaptive_batch is None:
-            adaptive_batch = self.adaptive_batch
         return StreamIngestor(
             self.engine,
             max_pending=max_pending,
             bulk=bulk,
             max_batch_blocks=batch_blocks,
-            adaptive_batch=adaptive_batch,
         )
 
     # ------------------------------------------------------------------

@@ -14,14 +14,19 @@ and timed per *trip*, not per rule).  X12 puts a number on that deal:
   micro-batch sizes, where the processes mode additionally exercises the
   cross-process delta path (worker registries piggybacked on trip replies).
 
-Per grid point both arms run **interleaved repetitions** and the per-arm
-cost is the minimum over repetitions — the standard way to compare two
-near-identical pipelines under scheduler noise.  Every point asserts the two
-arms made identical triggering decisions, selections and stats (metrics must
-observe, never steer), and the enabled arm's snapshot is structurally
-checked: source counters equal to the live stats object, and — in the
-processes mode — ``worker.*`` counters present, proving the reply deltas
-merged coordinator-side.
+Per grid point both arms run **interleaved repetitions**: each repetition
+keeps one engine per arm and feeds them the stream trip by trip,
+alternating which arm goes first; every trip is timed on its own and the
+per-arm cost is the sum, over trips, of each trip's minimum across
+repetitions.  A minimum of whole-arm totals let one preemption spoil a
+whole repetition, and on a shared host a slow spell lasts about as long as
+one arm's run, so arms run one after the other saw different host speeds;
+per trip, and with the arms side by side, both see the same.  Every point
+asserts the two arms made identical triggering decisions, selections and
+stats (metrics must observe, never steer), and the enabled arm's snapshot is
+structurally checked: source counters equal to the live stats object, and —
+in the processes mode — ``worker.*`` counters present, proving the reply
+deltas merged coordinator-side.
 
 A caveat on the processes points: their cost is dominated by worker
 round-trip latency, and the scheduler jitter on four concurrent workers
@@ -88,11 +93,12 @@ def measure_overhead(
 ) -> dict:
     """Instrumented vs uninstrumented cost at one grid point.
 
-    Runs ``repetitions`` interleaved (off, on) pairs over the identical
-    stream and rule pool; each arm's cost is the minimum total over its
-    repetitions.  Asserts both arms produce identical triggerings,
-    selections and stats, and checks the enabled arm's snapshot structure
-    (stats sources folded in; ``worker.*`` deltas merged in processes mode).
+    Runs ``repetitions`` (off, on) pairs over the identical stream and rule
+    pool, the two engines of a pair fed trip by trip in alternating order;
+    each arm's cost sums the per-trip minimum over its repetitions.  Asserts
+    both arms produce identical triggerings, selections and stats, and checks
+    the enabled arm's snapshot structure (stats sources folded in;
+    ``worker.*`` deltas merged in processes mode).
     """
     universe = build_scaling_universe(rule_count)
     rules = build_scaling_rules(rule_count, universe, seed=seed)
@@ -100,36 +106,44 @@ def measure_overhead(
         event_types=universe, seed=seed + 1, events_per_block=events_per_block
     ).blocks(warmup_blocks + blocks)
     measured = stream[warmup_blocks:]
+    trips = [
+        measured[start : start + batch_blocks]
+        for start in range(0, len(measured), batch_blocks)
+    ]
 
-    best: dict[bool, float] = {False: float("inf"), True: float("inf")}
-    outcomes: dict[bool, WorkloadOutcome] = {}
-    snapshot: dict | None = None
-    for _ in range(repetitions):
-        for enabled in (False, True):
-            registry = MetricsRegistry(enabled=enabled)
-            workload = ScalingWorkload(
-                rules,
-                shards=shards,
-                shard_mode=shard_mode,
-                batch_blocks=batch_blocks,
-                use_compiled_checks=use_compiled_checks,
-                metrics=registry,
-            )
-            try:
+    best = {enabled: [float("inf")] * len(trips) for enabled in (False, True)}
+    workloads: dict[bool, ScalingWorkload] = {}
+    for repetition in range(repetitions):
+        try:
+            for enabled in (False, True):
+                workload = workloads[enabled] = ScalingWorkload(
+                    rules,
+                    shards=shards,
+                    shard_mode=shard_mode,
+                    batch_blocks=batch_blocks,
+                    use_compiled_checks=use_compiled_checks,
+                    metrics=MetricsRegistry(enabled=enabled),
+                )
                 for start in range(0, warmup_blocks, batch_blocks):
                     workload.feed_trip(
                         stream[start : min(start + batch_blocks, warmup_blocks)]
                     )
                 workload.outcome = WorkloadOutcome()  # drop warm-up timings
-                outcome = workload.run(measured)
-                best[enabled] = min(best[enabled], _arm_seconds(outcome))
-                outcomes[enabled] = outcome
-                if enabled:
-                    snapshot = registry.snapshot()
-            finally:
+            for index, trip in enumerate(trips):
+                first = (index + repetition) % 2 == 1  # alternate who goes first
+                for enabled in (first, not first):
+                    outcome = workloads[enabled].outcome
+                    before = _arm_seconds(outcome)
+                    workloads[enabled].run(trip)
+                    best[enabled][index] = min(
+                        best[enabled][index], _arm_seconds(outcome) - before
+                    )
+            snapshot = workloads[True].support.metrics.snapshot()
+        finally:
+            for workload in workloads.values():
                 workload.close()
+    off, on = workloads[False].outcome, workloads[True].outcome
 
-    off, on = outcomes[False], outcomes[True]
     assert on.triggerings == off.triggerings, (
         "instrumented run made different triggering decisions"
     )
@@ -140,7 +154,6 @@ def measure_overhead(
         "instrumented run diverged from the uninstrumented stats"
     )
 
-    assert snapshot is not None
     counters = snapshot["counters"]
     # The trigger stats source must fold into the snapshot byte-equal to the
     # live stats dict — report and export can never disagree.
@@ -154,7 +167,7 @@ def measure_overhead(
     assert counters_match_stats, "snapshot counters diverged from the stats source"
     assert worker_deltas_merged, "process-worker metric deltas were not merged"
 
-    off_seconds, on_seconds = best[False], best[True]
+    off_seconds, on_seconds = sum(best[False]), sum(best[True])
     return {
         "rules": rule_count,
         "shards": shards,
@@ -207,8 +220,9 @@ def run_x12_sweeps(smoke: bool = False) -> dict:
         "benchmark": "x12_observability_overhead",
         "description": (
             "Instrumented vs uninstrumented end-to-end pipeline cost "
-            "(ingest + check + select), interleaved repetitions, min-of-reps "
-            "per arm.  The X7 grid covers the single-table pipeline, the X10 "
+            "(ingest + check + select), arms side by side trip by trip over "
+            "interleaved repetitions, each trip's min-of-reps summed per arm.  "
+            "The X7 grid covers the single-table pipeline, the X10 "
             "grid the shard coordinator across execution modes and "
             "micro-batch sizes (the processes mode exercises the "
             "cross-process metric-delta path).  Every point asserts the two "

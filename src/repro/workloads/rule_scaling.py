@@ -157,7 +157,6 @@ class ScalingWorkload:
         use_compiled_checks: bool = True,
         metrics: "MetricsRegistry | None" = None,
         transport: str | None = None,
-        adaptive_batch: bool | None = None,
     ) -> None:
         if batch_blocks < 1:
             raise ValueError(f"batch_blocks must be positive (got {batch_blocks})")
@@ -199,15 +198,8 @@ class ScalingWorkload:
             )
         self.bulk_ingest = bulk_ingest
         #: How many stream blocks each trigger-check dispatch trip coalesces
-        #: (1 = the historical block-at-a-time pipeline).  With
-        #: ``adaptive_batch`` this becomes the *ceiling* and each trip is
-        #: sized by the closed-loop dispatch controller instead.
+        #: (1 = the historical block-at-a-time pipeline).
         self.batch_blocks = batch_blocks
-        if adaptive_batch is None:
-            from repro.cluster.streaming import default_adaptive_batch
-
-            adaptive_batch = default_adaptive_batch()
-        self.adaptive_batch = adaptive_batch
         self.outcome = WorkloadOutcome()
 
     def close(self) -> None:
@@ -270,9 +262,7 @@ class ScalingWorkload:
 
     def run(self, blocks: list[list[EventOccurrence]]) -> WorkloadOutcome:
         """Feed every block and return the accumulated outcome."""
-        if self.adaptive_batch and self.batch_blocks > 1:
-            self._run_adaptive(blocks)
-        elif self.batch_blocks == 1:
+        if self.batch_blocks == 1:
             for block in blocks:
                 self.feed_block(block)
         else:
@@ -284,32 +274,6 @@ class ScalingWorkload:
         }
         outcome.stats = self.support.stats.as_dict()
         return outcome
-
-    def _run_adaptive(self, blocks: list[list[EventOccurrence]]) -> None:
-        """Replay the stream with controller-sized trips.
-
-        The offline replay models its backlog as the number of blocks not
-        yet fed: the controller widens toward ``batch_blocks`` while the
-        backlog is deep and falls back to block-at-a-time near the tail.
-        With a disabled metrics registry the controller is inert and this
-        degenerates to the static ``batch_blocks`` chunking.
-        """
-        from repro.cluster.streaming import DispatchController
-
-        metrics = self.support.metrics
-        controller = DispatchController(metrics, self.batch_blocks)
-        queue_gauge = metrics.gauge("ingest.queue_depth")
-        start = 0
-        while start < len(blocks):
-            queue_gauge.set(len(blocks) - start)
-            bound = controller.observe()
-            chunk = blocks[start : start + bound]
-            if len(chunk) == 1:
-                self.feed_block(chunk[0])
-            else:
-                self.feed_trip(chunk)
-            start += len(chunk)
-        queue_gauge.set(0)
 
 
 def _measure_planning_only(

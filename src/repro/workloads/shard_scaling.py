@@ -30,6 +30,7 @@ subscription shape.
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 
@@ -300,8 +301,16 @@ def measure_pipelined_ingestion(
 
     Both paths construct the occurrence objects inside the timed loop (that is
     the producer work the pipeline overlaps with rule evaluation) and face
-    identical rule pools; the runs must reach identical triggering counters
+    identical rule pools; every run must reach identical triggering counters
     and consideration sequences.
+
+    Each arm runs seven times on a fresh engine, the two arms alternating
+    (and swapping which goes first every round), with a ``gc.collect()``
+    before each timed pass; each arm reports its fastest pass.  One pass
+    per arm, direct always first, let a collection of an earlier arm's
+    garbage or one preemption land on the pipelined arm alone; on a 2-CPU
+    host the minimum of three passes still read under 0.7 in 6 of 20
+    trials of the reduced pytest configuration, of seven in 2 of 20.
     """
     universe = build_scaling_universe(rule_count)
     rules = build_shard_rules(rule_count, universe, seed=seed + 3)
@@ -323,12 +332,9 @@ def measure_pipelined_ingestion(
             for offset, (event_type, oid, stamp) in enumerate(block_spec)
         ]
 
-    results: dict[str, float] = {}
-    engines: dict[str, RuleEngine] = {}
-
-    for label in ("direct", "pipelined"):
+    def run_pass(label: str) -> tuple[float, tuple]:
         engine = _build_stream_engine(rules, shards)
-        engines[label] = engine
+        gc.collect()
         eid = 1
         started = time.perf_counter()
         if label == "direct":
@@ -341,22 +347,33 @@ def measure_pipelined_ingestion(
                     ingestor.submit(materialize(block_spec, eid))
                     eid += len(block_spec)
                 ingestor.flush()
-        results[label] = time.perf_counter() - started
+        seconds = time.perf_counter() - started
+        outcome = (
+            {
+                state.rule.name: state.times_triggered
+                for state in engine.rule_table.states()
+            },
+            [record.rule_name for record in engine.considerations],
+        )
+        engine.close()
+        return seconds, outcome
 
-    direct_counts = {
-        state.rule.name: state.times_triggered
-        for state in engines["direct"].rule_table.states()
-    }
-    pipelined_counts = {
-        state.rule.name: state.times_triggered
-        for state in engines["pipelined"].rule_table.states()
-    }
-    assert direct_counts == pipelined_counts, (
-        "pipelined ingestion made different triggering decisions"
-    )
-    assert [record.rule_name for record in engines["direct"].considerations] == [
-        record.rule_name for record in engines["pipelined"].considerations
-    ], "pipelined ingestion considered rules in a different order"
+    timings: dict[str, list[float]] = {"direct": [], "pipelined": []}
+    reference = None
+    for round_index in range(7):
+        order = ("direct", "pipelined")
+        for label in order if round_index % 2 == 0 else reversed(order):
+            seconds, outcome = run_pass(label)
+            timings[label].append(seconds)
+            if reference is None:
+                reference = outcome
+            assert outcome[0] == reference[0], (
+                f"{label} ingestion made different triggering decisions"
+            )
+            assert outcome[1] == reference[1], (
+                f"{label} ingestion considered rules in a different order"
+            )
+    results = {label: min(seconds) for label, seconds in timings.items()}
 
     events = sum(len(block_spec) for block_spec in specs)
     return {

@@ -94,7 +94,6 @@ def measure_socket_transport(
             shard_mode=shard_mode,
             batch_blocks=batch,
             transport=transport,
-            adaptive_batch=False,
         )
         for start in range(0, warmup_blocks, batch):
             workload.feed_trip(stream[start : min(start + batch, warmup_blocks)])
@@ -240,7 +239,6 @@ def measure_reconnect_resync(
             shard_mode="processes",
             batch_blocks=batch,
             transport="tcp",
-            adaptive_batch=False,
         )
         try:
             workload.run(stream[:half])

@@ -1,15 +1,14 @@
-"""Delta encoding + adaptivity workloads: the X13 benchmark.
+"""Delta encoding + drain adaptivity workloads: the X13 benchmark.
 
 X10 amortized the process shard mode's *round trips* (micro-batched
 dispatch); what remains per block on the transport side is **delta
 encoding**.  Every delta is a row frame: payload-free occurrences cross the
 process boundary as fixed-width rows encoded once per EB position
 (:class:`~repro.cluster.transport._RowLog`), and rows that do not fit the
-fixed width ride along as out-of-band snapshot tuples.  The
-:class:`~repro.cluster.streaming.DispatchController` closes the loop on the
-*trip size*: it sizes each stream drain from the live
-``ingest.queue_depth`` / ``trip.dispatch`` signals instead of the static
-``batch_blocks`` knob.
+fixed width ride along as out-of-band snapshot tuples.  The *trip size*
+needs no controller: :class:`~repro.cluster.streaming.StreamIngestor`
+drains whatever is queued without blocking, so its trips follow the
+backlog up to the static ``max_batch_blocks`` bound.
 
 The X13 benchmark (``benchmarks/bench_x13_transport_adaptivity.py`` and
 ``chimera-events bench x13``) measures both halves:
@@ -18,11 +17,11 @@ The X13 benchmark (``benchmarks/bench_x13_transport_adaptivity.py`` and
   and on process workers; the figures are the per-block delta-encode cost
   and the inline / fallback row counts, with a payload-bearing arm driving
   every row through the fallback path;
-* **adaptivity** — a bursty stream (idle gaps, then a deep backlog, then
-  idle again) through ``StreamIngestor`` arms static-1 / static-8 /
-  adaptive: the controller must keep per-block trips while idle (latency
-  within 10% of static-1), widen under backlog (throughput within 10% of
-  static-8) and shrink back to 1 when the burst drains.
+* **drain adaptivity** — a bursty stream (idle gaps, then a deep backlog,
+  then idle again) through ``StreamIngestor`` arms bound-1 and bound-8: the
+  bound-8 arm must keep per-block trips while idle (latency within 10% of
+  bound-1) and drain the backlog in coalesced trips (throughput at least
+  bound-1's, less 10%).
 
 Every grid point asserts identical triggering decisions, priority-order
 selections and Trigger Support stats across execution modes (and, for the
@@ -60,10 +59,6 @@ __all__ = [
     "run_x13_sweeps",
     "render_x13",
 ]
-
-#: Stream-ingestor arms of the bursty comparison.
-X13_ARMS = ("static_1", "static_8", "adaptive")
-
 
 def _with_payloads(
     blocks: list[list[EventOccurrence]],
@@ -296,7 +291,7 @@ def measure_bursty_adaptivity(
     seed: int = 19,
     check_equivalence: bool = True,
 ) -> dict:
-    """The bursty-arrival comparison: static-1 / static-8 / adaptive arms.
+    """The bursty-arrival comparison: static-1 / static-8 arms.
 
     Each arm drives the identical three-phase stream through its own
     process-mode engine and :class:`StreamIngestor`:
@@ -305,14 +300,14 @@ def measure_bursty_adaptivity(
        forms): the per-block latency an interactive stream sees;
     2. **backlog** — the whole burst is submitted at once and drained in
        one flush: the throughput regime batching exists for;
-    3. **cooldown** — idle again; the adaptive arm's controller must have
-       shrunk its bound back to 1 by the end.
+    3. **cooldown** — idle again: the drain falls back to trips of one.
 
-    The adaptive arm must match static-1 latency while idle (compared on
-    the median per-block latency of each arm) and static-8 throughput under
-    backlog.  Trip sizing moves considerations to trip
-    boundaries (inherent to micro-batching), so each arm's equivalence
-    check replays the arm's *realized* trip partition
+    The static-8 arm is the bound that ships.  While idle its queue is
+    always drained, so it runs trips of one and must match static-1 latency
+    (compared on the median per-block latency of each arm); under backlog
+    it must drain in fewer trips than blocks.  Trip sizing moves
+    considerations to trip boundaries (inherent to micro-batching), so each
+    arm's equivalence check replays the arm's *realized* trip partition
     (:attr:`StreamIngestor.trip_sizes`) on an unsharded reference engine
     and asserts identical triggering counters, consideration sequences and
     Trigger Support stats — pinning the whole pipelined + sharded +
@@ -334,17 +329,15 @@ def measure_bursty_adaptivity(
         "cooldown": stream[warmup + idle_blocks + backlog_blocks :],
     }
 
-    arm_configs = {
-        "static_1": {"max_batch_blocks": 1, "adaptive_batch": False},
-        "static_8": {"max_batch_blocks": max_batch_blocks, "adaptive_batch": False},
-        "adaptive": {"max_batch_blocks": max_batch_blocks, "adaptive_batch": True},
-    }
+    arm_bounds = {"static_1": 1, "static_8": max_batch_blocks}
     arms: dict[str, dict] = {}
     outcomes: dict[str, dict] = {}
-    for arm, config in arm_configs.items():
+    for arm, bound in arm_bounds.items():
         engine = _build_stream_engine(rules, shards, shard_mode, transport)
         try:
-            with StreamIngestor(engine, max_pending=max_pending, **config) as ingestor:
+            with StreamIngestor(
+                engine, max_pending=max_pending, max_batch_blocks=bound
+            ) as ingestor:
                 for block in phases["warmup"]:
                     ingestor.submit(block)
                 ingestor.flush()
@@ -355,7 +348,7 @@ def measure_bursty_adaptivity(
                 trips_before = ingestor.stats.coalesced_trips
                 # Each idle block is timed on its own and the arm reports the
                 # median: on a 2-CPU host one preemption moved a 6-block total
-                # (and with it the adaptive/static-1 ratio) by tens of percent.
+                # (and with it the static-8/static-1 ratio) by tens of percent.
                 idle_block_seconds = []
                 for block in phases["idle"]:
                     started = time.perf_counter()
@@ -374,11 +367,6 @@ def measure_bursty_adaptivity(
                 for block in phases["cooldown"]:
                     ingestor.submit(block)
                     ingestor.flush()
-                controller = ingestor.controller
-                final_bound = (
-                    controller.batch_blocks if controller is not None else None
-                )
-            counters = engine.metrics_snapshot()["counters"]
             partition = list(ingestor.trip_sizes)
             arms[arm] = {
                 "idle_ms_per_block": round(
@@ -391,9 +379,6 @@ def measure_bursty_adaptivity(
                 ),
                 "backlog_trips": backlog_trips,
                 "max_blocks_per_trip": ingestor.stats.max_blocks_per_trip,
-                "widened": int(counters.get("controller.widened", 0)),
-                "shrunk": int(counters.get("controller.shrunk", 0)),
-                "final_bound": final_bound,
             }
             outcomes[arm] = {
                 "partition": partition,
@@ -413,7 +398,7 @@ def measure_bursty_adaptivity(
         # Each arm's realized trip partition, replayed on an unsharded
         # reference engine: the pipelined + sharded + transport stack must be
         # byte-identical to plain single-process evaluation of that partition.
-        for arm in arm_configs:
+        for arm in arm_bounds:
             reference = _replay_partition(rules, stream, outcomes[arm]["partition"])
             assert (
                 outcomes[arm]["triggerings"] == reference["triggerings"]
@@ -425,7 +410,7 @@ def measure_bursty_adaptivity(
                 f"{arm} arm diverged from its replay's Trigger Support stats"
             )
 
-    adaptive = arms["adaptive"]
+    static_1, static_8 = arms["static_1"], arms["static_8"]
     return {
         "rules": rule_count,
         "shards": shards,
@@ -438,13 +423,12 @@ def measure_bursty_adaptivity(
         "max_batch_blocks": max_batch_blocks,
         "arms": arms,
         "idle_latency_ratio": round(
-            adaptive["idle_ms_per_block"]
-            / max(1e-9, arms["static_1"]["idle_ms_per_block"]),
+            static_8["idle_ms_per_block"] / max(1e-9, static_1["idle_ms_per_block"]),
             3,
         ),
         "backlog_throughput_ratio": round(
-            adaptive["backlog_blocks_per_sec"]
-            / max(1e-9, arms["static_8"]["backlog_blocks_per_sec"]),
+            static_8["backlog_blocks_per_sec"]
+            / max(1e-9, static_1["backlog_blocks_per_sec"]),
             3,
         ),
         "equivalence_checked": check_equivalence,
@@ -452,7 +436,7 @@ def measure_bursty_adaptivity(
 
 
 def run_x13_sweeps(smoke: bool = False) -> dict:
-    """The X13 grid: delta encoding plus the bursty-adaptivity arms."""
+    """The X13 grid: delta encoding plus the bursty drain arms."""
     if smoke:
         transport_grid = [
             measure_transport_encoding(
@@ -485,24 +469,22 @@ def run_x13_sweeps(smoke: bool = False) -> dict:
     return {
         "benchmark": "x13_transport_adaptivity",
         "description": (
-            "Row-frame delta encoding + adaptive dispatch sizing.  The "
+            "Row-frame delta encoding + drain-sized dispatch trips.  The "
             "encoding grid reruns the X10 check-heavy stream through the "
             "process coordinator: per-block delta-encode cost and inline / "
             "fallback row counts (a payload-bearing arm drives every row "
             "through the out-of-band fallback).  The adaptivity arms run a "
-            "bursty stream through static-1 / static-8 / adaptive "
-            "ingestors: the controller must hold per-block trips while "
-            "idle, widen under backlog, and shrink back when the burst "
-            "drains.  Every grid point asserts identical triggering "
-            "decisions, selections and stats across modes and arms."
+            "bursty stream through bound-1 and bound-8 ingestors: the "
+            "non-blocking drain must hold per-block trips while idle and "
+            "coalesce the backlog into fewer trips than blocks.  Every grid "
+            "point asserts identical triggering decisions, selections and "
+            "stats across modes and arms."
         ),
         "host_cpus": host_cpus,
         "headline": {
             "delta_encode_us_per_block": payload_free["delta_encode_us_per_block"],
             "idle_latency_ratio": adaptivity["idle_latency_ratio"],
             "backlog_throughput_ratio": adaptivity["backlog_throughput_ratio"],
-            "adaptive_widened": adaptivity["arms"]["adaptive"]["widened"],
-            "adaptive_final_bound": adaptivity["arms"]["adaptive"]["final_bound"],
         },
         "transport": transport_grid,
         "adaptivity": adaptivity,
@@ -565,9 +547,6 @@ def render_x13(results: dict) -> str:
             stats["backlog_blocks_per_sec"],
             stats["backlog_trips"],
             stats["max_blocks_per_trip"],
-            stats["widened"],
-            stats["shrunk"],
-            stats["final_bound"] if stats["final_bound"] is not None else "-",
         ]
         for arm, stats in adaptivity["arms"].items()
     ]
@@ -580,13 +559,10 @@ def render_x13(results: dict) -> str:
                 "backlog blk/s",
                 "backlog trips",
                 "max blk/trip",
-                "widened",
-                "shrunk",
-                "final bound",
             ],
             rows,
             title=(
-                f"X13 — bursty adaptivity, {adaptivity['rules']} rules, "
+                f"X13 — bursty drain, {adaptivity['rules']} rules, "
                 f"{adaptivity['shards']} {adaptivity['shard_mode']} shards, "
                 f"{adaptivity['transport']} transport "
                 f"(idle ratio {adaptivity['idle_latency_ratio']}, "

@@ -21,6 +21,7 @@ the process mode routes through its workers so the memos stay exact).
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from repro.cluster.transport import TRANSPORTS
 from repro.oodb.database import ChimeraDatabase
@@ -51,6 +52,39 @@ def test_modes_identical_under_randomized_churn():
                 assert result["stats"] == reference["stats"], (
                     f"seed {seed}, {shards} shards, {mode}: stats diverged"
                 )
+
+
+def test_pool_definition_churn_across_trips():
+    """Define / remove / re-define the same names, trip after trip.
+
+    Each worker freezes its heap after installing definitions and thaws it
+    before applying drops; decisions must stay equal to the unsharded
+    reference whatever the churn lands on."""
+    base = build_scenario(5, block_count=36)
+    removals: dict[int, tuple] = {}
+    readds: dict[int, tuple] = {}
+    for index, rule in enumerate(base.rules[:6]):
+        donor = base.rules[-1 - index]
+        for cycle, position in enumerate(range(1 + index % 3, 34, 5)):
+            removals[position] = removals.get(position, ()) + (rule.name,)
+            # Alternate a foreign definition and the original one.
+            events = donor.events if cycle % 2 == 0 else rule.events
+            fresh = replace(rule, events=events)
+            readds[position + 2] = readds.get(position + 2, ()) + (fresh,)
+    scenario = replace(base, removals=removals, readds=readds)
+    for batch_blocks in (1, 3):
+        reference = run_scenario(scenario, batch_blocks=batch_blocks)
+        for transport in TRANSPORTS:
+            result = run_scenario(
+                scenario,
+                shards=3,
+                shard_mode="processes",
+                transport=transport,
+                batch_blocks=batch_blocks,
+            )
+            assert result == reference, (
+                f"{transport}, batch {batch_blocks}: churned pool diverged"
+            )
 
 
 def test_process_mode_across_shard_counts():
@@ -175,8 +209,8 @@ def _bursty_trip_sizes(seed: int, max_batch: int = 8) -> tuple[int, ...]:
     """A Poisson-ish arrival pattern as a trip partition.
 
     Idle gaps realize as per-block trips; bursts realize as multi-block
-    trips up to ``max_batch`` — exactly the partitions the adaptive
-    dispatch controller produces, made deterministic so every execution
+    trips up to ``max_batch`` — the partitions the stream ingestor's
+    non-blocking drain realizes, made deterministic so every execution
     mode and transport can replay the identical structure.
     """
     rng = random.Random(seed)
@@ -274,9 +308,9 @@ def test_tcp_transport_across_modes_shard_counts_and_batch_sizes():
             assert result == reference, f"tcp: {mode} x {shards} shards diverged"
 
 
-def test_adaptive_ingestor_matches_unsharded_replay_of_realized_trips():
-    """The real closed-loop pipeline, pinned end to end: bursty submits
-    through an adaptive ``StreamIngestor`` over process shards + pipe
+def test_bounded_ingestor_matches_unsharded_replay_of_realized_trips():
+    """The real drain-sized pipeline, pinned end to end: bursty submits
+    through a bound-8 ``StreamIngestor`` over process shards + pipe
     transport, then the *realized* trip partition replayed on an unsharded
     engine — triggerings, consideration order and stats must be identical."""
     from repro.workloads.shard_scaling import build_shard_rules, build_shaped_blocks
@@ -289,21 +323,21 @@ def test_adaptive_ingestor_matches_unsharded_replay_of_realized_trips():
 
     universe = build_scaling_universe(160)
     rules = build_shard_rules(160, universe, seed=23)
-    blocks = build_shaped_blocks(universe, 36, events_per_block=6, seed=5)
+    blocks = build_shaped_blocks(universe, 40, events_per_block=6, seed=5)
     engine = _build_stream_engine(rules, 2, "processes", "pipe")
     try:
-        with StreamIngestor(
-            engine, max_pending=64, max_batch_blocks=8, adaptive_batch=True
-        ) as ingestor:
+        with StreamIngestor(engine, max_pending=64, max_batch_blocks=8) as ingestor:
             for index, block in enumerate(blocks):
                 ingestor.submit(block)
-                # Idle gaps between bursts of ~6: flushing drains the queue,
-                # so the controller sees depth 0 and shrinks back.
-                if index % 6 == 5:
+                # Two idle blocks (submit + flush onto a drained queue: trips
+                # of one), then a burst of six flushed at its end, which the
+                # consumer drains in coalesced trips.
+                if index % 8 in (0, 1, 7):
                     ingestor.flush()
             ingestor.flush()
             partition = list(ingestor.trip_sizes)
         assert sum(partition) == len(blocks)
+        assert 1 in partition and max(partition) > 1, partition
         pipelined = {
             "triggerings": {
                 state.rule.name: state.times_triggered
@@ -318,7 +352,7 @@ def test_adaptive_ingestor_matches_unsharded_replay_of_realized_trips():
         engine.close()
     replay = _replay_partition(rules, blocks, partition)
     assert pipelined == replay, (
-        f"adaptive pipeline diverged from its replay (partition {partition})"
+        f"bound-8 pipeline diverged from its replay (partition {partition})"
     )
 
 

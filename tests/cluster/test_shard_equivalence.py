@@ -50,7 +50,7 @@ def run_scenario(
     the same call and is byte-identical to the per-block path.
     ``trip_sizes`` overrides the fixed batch with an explicit trip
     partition (cycled if it runs out) — the bursty-arrival replay: the
-    variable-size trips an adaptive consumer realizes under Poisson bursts
+    variable-size trips the ingestor's drain realizes under Poisson bursts
     and idle gaps, still with churn at trip boundaries.
     ``use_compiled_checks=False`` runs the interpreted evaluator instead of
     the compiled exact-check closures.

@@ -350,6 +350,49 @@ class TestCoalescing:
             db.close()
 
 
+class GatedEngine:
+    """An engine stub whose first block waits on a gate."""
+
+    def __init__(self):
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def run_stream_block(self, batch, bulk=True, type_signature=None):
+        if not self.started.is_set():
+            self.started.set()
+            self.release.wait(timeout=5)
+
+    def run_stream_blocks(self, batches, bulk=True, type_signatures=None):
+        pass
+
+
+class TestDrainSizing:
+    """The non-blocking drain is the whole trip-sizing policy."""
+
+    def test_backlog_drains_in_trips_of_the_bound(self):
+        engine = GatedEngine()
+        stream = blocks(21)
+        with StreamIngestor(engine, max_pending=32, max_batch_blocks=8) as ingestor:
+            ingestor.submit(stream[0])
+            assert engine.started.wait(timeout=5)
+            # The consumer is held inside block 0: the next 20 blocks queue
+            # up behind it and are drained in bound-sized trips.
+            for one_block in stream[1:]:
+                ingestor.submit(one_block)
+            engine.release.set()
+            ingestor.flush()
+        assert ingestor.trip_sizes == [1, 8, 8, 4]
+
+    def test_idle_stream_runs_trips_of_one_under_a_wide_bound(self):
+        engine = make_engine()
+        add_rule(engine, "stock_watch", "create(stock)")
+        with StreamIngestor(engine, max_pending=8, max_batch_blocks=8) as ingestor:
+            for one_block in blocks(12):
+                ingestor.submit(one_block)
+                ingestor.flush()
+        assert ingestor.trip_sizes == [1] * 12
+
+
 class TestSignaturePassThrough:
     def test_precomputed_signature_reaches_the_planner(self):
         engine = make_engine(shards=2)
