@@ -11,6 +11,7 @@ from repro.cluster.streaming import StreamIngestor
 from repro.events.clock import TransactionClock
 from repro.events.event import EventOccurrence, EventType, Operation
 from repro.events.event_base import EventBase
+from repro.obs.registry import MetricsRegistry
 from repro.oodb.objects import ObjectStore
 from repro.oodb.operations import OperationExecutor
 from repro.oodb.schema import Schema
@@ -391,6 +392,64 @@ class TestDrainSizing:
                 ingestor.submit(one_block)
                 ingestor.flush()
         assert ingestor.trip_sizes == [1] * 12
+
+    def test_bound_of_one_runs_a_held_backlog_block_by_block(self):
+        engine = GatedEngine()
+        stream = blocks(12)
+        with StreamIngestor(engine, max_pending=16, max_batch_blocks=1) as ingestor:
+            ingestor.submit(stream[0])
+            assert engine.started.wait(timeout=5)
+            for one_block in stream[1:]:
+                ingestor.submit(one_block)
+            engine.release.set()
+            ingestor.flush()
+        # A backlog never widens a trip past the bound.
+        assert ingestor.trip_sizes == [1] * 12
+        assert ingestor.stats.max_blocks_per_trip == 1
+
+    def test_drain_takes_only_what_is_queued(self):
+        engine = GatedEngine()
+        stream = blocks(4)
+        with StreamIngestor(engine, max_pending=16, max_batch_blocks=8) as ingestor:
+            ingestor.submit(stream[0])
+            assert engine.started.wait(timeout=5)
+            for one_block in stream[1:]:
+                ingestor.submit(one_block)
+            engine.release.set()
+            ingestor.flush()
+        # Three blocks were queued behind the held one: the next trip takes
+        # those three and does not wait for the bound to fill.
+        assert ingestor.trip_sizes == [1, 3]
+
+    def test_queue_depth_gauge_samples_the_backlog(self):
+        engine = GatedEngine()
+        engine.metrics = MetricsRegistry(enabled=True)
+        stream = blocks(22)
+        with StreamIngestor(engine, max_pending=32, max_batch_blocks=8) as ingestor:
+            gauge = engine.metrics.gauge("ingest.queue_depth")
+            ingestor.submit(stream[0])
+            assert engine.started.wait(timeout=5)
+            for one_block in stream[1:21]:
+                ingestor.submit(one_block)
+            # Sampled before each put: the 20th queued block saw 19 ahead.
+            assert gauge.value == 19
+            assert ingestor.stats.max_queue_depth == 19
+            engine.release.set()
+            ingestor.flush()
+            ingestor.submit(stream[21])
+            assert gauge.value == 0
+            ingestor.flush()
+        assert gauge.max_value == 19
+        assert gauge.updates == 22
+        snapshot = engine.metrics.snapshot()
+        # The drain is the only trip-sizing policy: no controller instruments.
+        names = [
+            name
+            for kind in ("counters", "gauges", "histograms")
+            for name in snapshot[kind]
+        ]
+        assert not [name for name in names if name.startswith("controller.")]
+        assert snapshot["histograms"]["ingest.coalesce_blocks"]["count"] == 5
 
 
 class TestSignaturePassThrough:
